@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .array_model import (
     Dictionary,
@@ -172,16 +171,19 @@ def mse_frequencies(truth: np.ndarray, est: np.ndarray) -> float:
     """Sum of squared frequency errors under the best one-to-one pairing.
 
     The estimator's output order is arbitrary, so truth and estimate are
-    matched by minimum-cost assignment on squared distance; the metric is
-    symmetric and invariant to permuting either argument.
+    matched by the minimum-cost assignment on squared distance; the metric
+    is symmetric and invariant to permuting either argument. On a line that
+    assignment pairs the two sorted lists: if t1 <= t2 and e1 <= e2, the
+    crossed pairing costs more by 2 (t2 - t1)(e2 - e1) >= 0, so uncrossing
+    any crossed pair never raises the cost. This holds for linear distance
+    only; a circular distance (frequencies that wrap at 2 pi) needs another
+    rule, since sorting does not respect the wrap-around.
     """
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
     est = np.atleast_1d(np.asarray(est, dtype=float))
     if truth.shape != est.shape:
         raise ValueError(f"length mismatch: truth has {truth.size}, estimate has {est.size}")
-    cost = np.abs(truth[:, None] - est[None, :]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    return float(np.sum((np.sort(truth) - np.sort(est)) ** 2))
 
 
 def _seed_int(*parts: int) -> int:
@@ -366,27 +368,39 @@ def read_measurements_csv(path) -> np.ndarray:
     """Read a snapshot matrix stored as complex text entries.
 
     The first line is the header "N,L"; each of the next N lines holds L
-    comma-separated entries parseable by complex(), e.g. "1.5-0.25j".
+    comma-separated entries parseable by complex(), e.g. "1.5-0.25j" (a
+    trailing "i" is accepted for "j"). Blank lines are skipped. Malformed
+    and non-finite entries are rejected with their line and column
+    (both 1-based).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as exc:
         raise OSError(f"cannot read measurements from {path}: {exc}") from exc
     if not lines:
         raise ValueError(f"{path}: empty measurement file")
-    head = lines[0].split(",")
+    head = lines[0][1].split(",")
     if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'N,L', got {lines[0]!r}")
+        raise ValueError(f"{path}: header must be 'N,L', got {lines[0][1]!r}")
     n, l = int(head[0]), int(head[1])
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
     y = np.empty((n, l), dtype=complex)
-    for i, line in enumerate(lines[1:]):
+    for i, (no, line) in enumerate(lines[1:]):
         entries = line.split(",")
         if len(entries) != l:
             raise ValueError(f"{path}: row {i} has {len(entries)} entries, expected {l}")
-        y[i] = [complex(tok.strip().replace("i", "j")) for tok in entries]
+        for j, tok in enumerate(entries):
+            tok = tok.strip()
+            try:
+                y[i, j] = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+            except ValueError:
+                raise ValueError(f"{path}: line {no}, column {j + 1}: cannot parse {tok!r} as a complex number") from None
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: line {lines[i + 1][0]}, column {j + 1}: non-finite entry {y[i, j]}")
     return y
 
 
@@ -456,10 +470,19 @@ def _cast_top(key: str, value):
     if key in _FLOAT_KEYS:
         return None if value is None else float(value)
     if key == "on_grid":
-        return bool(value)
+        return _cast_bool(key, value)
     if key == "projection_kind":
         return str(value)
     return value
+
+
+def _cast_bool(key: str, value) -> bool:
+    """A JSON boolean, or "true"/"false" in any case; bool("false") is True."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
 
 
 def load_config(path, overrides: dict | None = None) -> SweepConfig:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import Dictionary, steering_gradient, steering_matrix, steering_vector
+from .array_model import Dictionary, steering_matrix, steering_vector
 
 _PINV_RTOL = 1e-12
 
@@ -108,6 +108,10 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, p = mat.shape
     if y.shape[0] != n:
         raise ValueError(f"measurements have {y.shape[0]} rows but sensing matrix has {n}")
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"measurements contain non-finite entry {y[row, col]} at (row {row}, column {col})")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
     if k > p:
@@ -129,44 +133,71 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(chosen), coeffs
 
 
+def _response(phi_mat: np.ndarray, nu: float) -> np.ndarray:
+    """Projected steering response Phi a(nu)."""
+    return phi_mat @ steering_vector(nu, phi_mat.shape[1])
+
+
+def _waveform(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least-squares waveform v^H Y / ||v||^2 for a fixed response v."""
+    vc = v.conj()
+    denom = np.real(vc @ v)
+    if denom == 0:
+        raise ValueError("Phi a(nu) is zero; waveform is unidentifiable")
+    return (vc @ y) / denom
+
+
+def _residual(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
+    """Squared Frobenius residual ||Y - v x^T||_F^2."""
+    return float(np.linalg.norm(y - v[:, None] * x) ** 2)
+
+
+def _refit(y: np.ndarray, phi_mat: np.ndarray, nu: float) -> tuple[np.ndarray, float]:
+    """Waveform fit at nu and its squared residual, from one Phi a(nu)."""
+    v = _response(phi_mat, nu)
+    x = _waveform(y, v)
+    return x, _residual(y, v, x)
+
+
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
     """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
     phi_mat = _phi_matrix(phi)
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    v = phi_mat @ steering_vector(nu, phi_mat.shape[1])
-    denom = np.real(v.conj() @ v)
-    if denom == 0:
-        raise ValueError("Phi a(nu) is zero; waveform is unidentifiable")
-    return (v.conj() @ y) / denom
+    return _waveform(np.atleast_2d(np.asarray(y, dtype=complex)), _response(phi_mat, nu))
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
     phi_mat = _phi_matrix(phi)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    v = phi_mat @ steering_vector(nu, phi_mat.shape[1])
-    return float(np.linalg.norm(y - np.outer(v, np.asarray(x, dtype=complex))) ** 2)
+    return _residual(y, _response(phi_mat, nu), np.asarray(x, dtype=complex))
 
 
 def delta_step(y: np.ndarray, phi, nu_ring: float, x: np.ndarray) -> float:
     """Real frequency correction from the linearized steering model.
 
-    Vectorizes Y column-major and solves, in the least-squares sense,
-    y ~ (x kron Phi a(nu)) + (x kron Phi g(nu)) * delta for real delta,
-    where g is the steering gradient. Exact to first order in the offset.
+    This is the vectorized least-squares problem of the paper: with Y
+    vectorized column-major, solve y ~ (x kron Phi a(nu)) + (x kron Phi g(nu))
+    delta for real delta, where g is the steering gradient. Exact to first
+    order in the offset. With v_a = Phi a(nu), v_g = Phi g(nu) and
+    R = Y - v_a x^T, two Kronecker identities give the solution without
+    forming the N*L-long vectors:
+
+        ||x kron v_g||^2 = ||x||^2 ||v_g||^2,
+        (x kron v_g)^H vec(R) = v_g^H R conj(x),
+
+    so delta = Re(v_g^H R conj(x)) / (||x||^2 ||v_g||^2).
     """
     phi_mat = _phi_matrix(phi)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     x = np.asarray(x, dtype=complex)
-    m = phi_mat.shape[1]
-    va = phi_mat @ steering_vector(nu_ring, m)
-    vg = phi_mat @ steering_gradient(nu_ring, m)
-    kg = np.kron(x, vg)
-    denom = np.real(kg.conj() @ kg)
+    a = steering_vector(nu_ring, phi_mat.shape[1])
+    va = phi_mat @ a
+    vg = phi_mat @ (1j * np.arange(a.size) * a)
+    denom = np.vdot(x, x).real * np.vdot(vg, vg).real
     if denom == 0:
         raise ValueError("x kron Phi g(nu) is zero; delta is unidentifiable")
-    resid = y.reshape(-1, order="F") - np.kron(x, va)
-    return float(np.real(kg.conj() @ resid) / denom)
+    resid = y - va[:, None] * x
+    return float(np.vdot(vg, resid @ x.conj()).real / denom)
 
 
 def refine_single(
@@ -181,15 +212,15 @@ def refine_single(
     the non-increasing sequence of accepted residual values, starting with
     the residual of (nu0, x0).
     """
+    phi_mat = _phi_matrix(phi)
+    y = np.atleast_2d(np.asarray(y, dtype=complex))
     nu = float(nu0)
     x = np.asarray(x0, dtype=complex)
-    eps = residual_cost(y, phi, nu, x)
+    eps = _residual(y, _response(phi_mat, nu), x)
     history = [eps]
     for _ in range(cfg.i_max):
-        delta = delta_step(y, phi, nu, x)
-        nu_new = nu + delta
-        x_new = ls_signal(y, phi, nu_new)
-        eps_new = residual_cost(y, phi, nu_new, x_new)
+        nu_new = nu + delta_step(y, phi_mat, nu, x)
+        x_new, eps_new = _refit(y, phi_mat, nu_new)
         if eps_new > eps:
             break
         nu, x, eps = nu_new, x_new, eps_new
@@ -232,17 +263,19 @@ def refine_multi(
     k_total = nu.size
     if x.shape[0] != k_total:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {k_total} entries")
-    m = phi_mat.shape[1]
+    # V = Phi A(nu); only column k changes during source k's turn
+    v = phi_mat @ steering_matrix(nu, phi_mat.shape[1]) if k_total > 1 else None
     histories: list[np.ndarray] = []
     for _ in range(cfg.j_max):
         for k in range(k_total):
             y_k = y
-            if k_total > 1:
-                v = phi_mat @ steering_matrix(nu, m)
+            if v is not None:
                 w = _solve_pinv(v, y)
                 others = np.arange(k_total) != k
                 y_k = y - v[:, others] @ w[others]
             nu[k], x[k], hist = refine_single(y_k, phi_mat, nu[k], x[k], cfg)
+            if v is not None:
+                v[:, k] = _response(phi_mat, nu[k])
             histories.append(hist)
     return EstimationResult(
         nu_hat=nu,

@@ -1,6 +1,6 @@
 """Benchmark harness tests.
 
-Assignment-based frequency MSE (with a brute-force permutation oracle),
+Sorted-pairing frequency MSE (with a brute-force permutation oracle),
 scene drawing determinism and separation, CSV emission contracts, config
 parsing and validation, and small deterministic experiment runs.
 """
@@ -144,6 +144,14 @@ def test_config_unknown_key_is_named():
         config_from_dict({"snr_grid": [0]})
 
 
+def test_config_on_grid_casting():
+    for value, expected in [(True, True), (False, False), ("false", False), ("TRUE", True), ("False", False)]:
+        assert config_from_dict({"on_grid": value}).on_grid is expected
+    for value in ("no", "0", 0, 1, None):
+        with pytest.raises(ValueError, match="on_grid"):
+            config_from_dict({"on_grid": value})
+
+
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"N": 4, "M": 8, "P": 16, "K": 2, "L": 4}))
@@ -201,6 +209,20 @@ def test_measurements_csv_round_trip(tmp_path):
     back = read_measurements_csv(path)
     assert np.array_equal(back, y)
     assert path.read_text().splitlines()[0] == "3,5"
+
+
+def test_measurements_csv_trailing_i_and_non_finite(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text("2,2\n1+2i, -0.5i\n\n3,4-1j\n")
+    assert np.array_equal(read_measurements_csv(path), np.array([[1 + 2j, -0.5j], [3, 4 - 1j]]))
+    for bad, where in [("inf", "line 3, column 1"), ("1+nani", "line 3, column 1"), ("2,1e999j", "line 3, column 2")]:
+        entries = bad if "," in bad else bad + ",0"
+        path.write_text(f"2,2\n1,2\n{entries}\n")
+        with pytest.raises(ValueError, match=f"{where}: non-finite"):
+            read_measurements_csv(path)
+    path.write_text("1,2\n1,2x\n")
+    with pytest.raises(ValueError, match="line 2, column 2: cannot parse '2x'"):
+        read_measurements_csv(path)
 
 
 # -------------------------------------------------------------- experiments

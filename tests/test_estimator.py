@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gomp.array_model import build_dictionary, steering_matrix, steering_vector
+from gomp.array_model import build_dictionary, steering_gradient, steering_matrix, steering_vector
 from gomp.estimator import (
     EstimationResult,
     GompConfig,
@@ -108,6 +108,15 @@ def test_omp_rejects_bad_k():
         omp(y, phi.phi @ d.A_ring, 17)
 
 
+def test_omp_rejects_non_finite_measurements():
+    phi, d = _designed_phi(16, 64, 64)
+    y = np.ones((16, 4), dtype=complex)
+    y[3, 1] = np.nan
+    y[5, 0] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite entry \(nan\+0j\) at \(row 3, column 1\)"):
+        omp(y, phi.phi @ d.A_ring, 1)
+
+
 def test_omp_reports_rank_deficiency():
     psi = np.ones((4, 6), dtype=complex)  # all columns parallel
     y = np.ones((4, 2), dtype=complex)
@@ -186,6 +195,24 @@ def test_delta_sign():
     x = _cn(rng, 16)
     y = np.outer(phi @ steering_vector(1.5 - 1e-3, 64), x)
     assert delta_step(y, phi, 1.5, x) < 0
+
+
+def test_delta_matches_kron_reference():
+    """The kron-free step equals the vectorized least-squares solution
+    Re(kg^H (vec Y - x kron Phi a)) / ||kg||^2 with kg = x kron Phi g."""
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        m = int(rng.integers(2, 40))
+        n = int(rng.integers(1, m + 1))
+        l = int(rng.integers(1, 12))
+        phi = random_cm_projection(n, m, seed=trial).phi
+        nu = float(rng.uniform(0, 2 * np.pi))
+        x = _cn(rng, l)
+        y = _cn(rng, n, l)
+        va = phi @ steering_vector(nu, m)
+        kg = np.kron(x, phi @ steering_gradient(nu, m))
+        ref = np.real(kg.conj() @ (y.reshape(-1, order="F") - np.kron(x, va))) / np.real(kg.conj() @ kg)
+        assert abs(delta_step(y, phi, nu, x) - ref) <= 1e-12 * abs(ref), f"trial {trial}"
 
 
 def test_delta_rejects_zero_waveform():
@@ -279,6 +306,35 @@ def test_refine_single_pass_reduces_halfcell_offset():
         x0 = ls_signal(y, phi.phi, d.grid[p])
         nu_hat, _, _ = refine_single(y, phi.phi, d.grid[p], x0, GompConfig(i_max=10, j_max=1))
         assert abs(nu_hat - nu_true) < half / 4, "offset not contracted"
+
+
+def test_refine_single_equals_public_kernel_loop():
+    """refine_single is bitwise the loop of delta_step, ls_signal and
+    residual_cost with the documented acceptance rule."""
+    rng = np.random.default_rng(44)
+    cfg = GompConfig(i_max=5, j_max=1)
+    for trial in range(20):
+        m = int(rng.integers(4, 33))
+        n = int(rng.integers(2, m + 1))
+        l = int(rng.integers(1, 10))
+        phi = random_cm_projection(n, m, seed=100 + trial).phi
+        nu_true = float(rng.uniform(0, 2 * np.pi))
+        y = np.outer(phi @ steering_vector(nu_true, m), _cn(rng, l)) + 0.2 * _cn(rng, n, l)
+        nu = nu_true + float(rng.uniform(-0.1, 0.1))
+        x = ls_signal(y, phi, nu)
+        nu_hat, x_hat, hist = refine_single(y, phi, nu, x, cfg)
+        eps = residual_cost(y, phi, nu, x)
+        ref = [eps]
+        for _ in range(cfg.i_max):
+            nu_new = nu + delta_step(y, phi, nu, x)
+            x_new = ls_signal(y, phi, nu_new)
+            eps_new = residual_cost(y, phi, nu_new, x_new)
+            if eps_new > eps:
+                break
+            nu, x, eps = nu_new, x_new, eps_new
+            ref.append(eps)
+        assert nu_hat == nu, f"trial {trial}"
+        assert np.array_equal(x_hat, x) and np.array_equal(hist, ref), f"trial {trial}"
 
 
 # ------------------------------------------------------------- refine_multi
