@@ -68,20 +68,13 @@ def spatial_frequency(theta: float, spacing_ratio: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class UlaConfig:
-    """Uniform linear array geometry.
-
-    M is the sensor count; spacing_ratio is the inter-sensor spacing in
-    wavelengths (d/lambda), defaulting to half-wavelength.
-    """
+    """Uniform linear array geometry: M is the sensor count."""
 
     M: int
-    spacing_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         if self.M < 2:
             raise ValueError(f"M >= 2 required, got {self.M}")
-        if not self.spacing_ratio > 0:
-            raise ValueError(f"spacing_ratio > 0 required, got {self.spacing_ratio}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,6 @@ class SourceScene:
         X.setflags(write=False)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "X", X)
-
-    @property
-    def K(self) -> int:
-        return self.nu.size
 
     @property
     def L(self) -> int:
@@ -165,25 +154,14 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Projected snapshot matrix plus the metadata needed to score it."""
+    """Projected snapshot matrix Y (N-by-L), read-only."""
 
     Y: np.ndarray
-    snr_db: float
-    truth: SourceScene | None = None
-    noise_seed: int = 0
 
     def __post_init__(self) -> None:
         Y = np.atleast_2d(np.asarray(self.Y, dtype=complex))
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
-
-    @property
-    def N(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.Y.shape[1]
 
 
 def build_dictionary(p: int, nu_max: float, m: int) -> Dictionary:
@@ -234,7 +212,7 @@ def synthesize_measurements(
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array.
     """
-    phi_mat = np.asarray(getattr(phi, "phi", phi), dtype=complex)
+    phi_mat = np.asarray(phi, dtype=complex)
     if phi_mat.ndim != 2:
         raise ValueError("projection matrix must be two-dimensional")
     n, m = phi_mat.shape
@@ -242,7 +220,7 @@ def synthesize_measurements(
         raise ValueError(f"projection has {m} columns but the array has {ula.M} sensors")
     signal = phi_mat @ (steering_matrix(scene.nu, m) @ scene.X)
     if math.isinf(snr_db) and snr_db > 0:
-        return MeasurementSet(Y=signal, snr_db=snr_db, truth=scene, noise_seed=seed)
+        return MeasurementSet(Y=signal)
     signal_power = float(np.linalg.norm(signal) ** 2)
     # E||Phi Nbar||_F^2 = L * ||Phi||_F^2 for unit-variance Nbar
     unit_power = scene.L * float(np.linalg.norm(phi_mat) ** 2)
@@ -250,4 +228,4 @@ def synthesize_measurements(
     rng = np.random.default_rng(seed)
     nbar = (rng.standard_normal((m, scene.L)) + 1j * rng.standard_normal((m, scene.L))) / np.sqrt(2.0)
     y = signal + phi_mat @ (sigma * nbar)
-    return MeasurementSet(Y=y, snr_db=snr_db, truth=scene, noise_seed=seed)
+    return MeasurementSet(Y=y)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class SweepConfig:
     P: int = 64
     K: int = 5
     L: int = 16
-    snr_grid_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
+    snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     trials: int = 200
     seed: int = 0
     projection_kind: str = "designed"
@@ -67,9 +68,9 @@ class SweepConfig:
     on_grid: bool = False
     gomp: GompConfig = field(default_factory=GompConfig)
     design: DesignConfig = field(default_factory=DesignConfig)
-    alpha_candidates: tuple = DEFAULT_ALPHAS
-    p_grid: tuple | None = None
-    methods: tuple = ("designed", "dft", "random", "gd_prior_b")
+    alpha_candidates: tuple[float, ...] = DEFAULT_ALPHAS
+    p_grid: tuple[int, ...] | None = None
+    methods: tuple[str, ...] = ("designed", "dft", "random", "gd_prior_b")
 
     def __post_init__(self) -> None:
         if not self.K <= self.N:
@@ -413,8 +414,23 @@ def write_measurements_csv(y: np.ndarray, path) -> None:
             fh.write(",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) + "\n")
 
 
-_GOMP_KEYS = {"i_max", "j_max"}
-_DESIGN_KEYS = {"t_max", "step_size", "alpha", "init"}
+def _flat_fields() -> dict:
+    """Flat config key -> (owning dataclass, resolved field type).
+
+    Every SweepConfig field except the nested gomp and design settings is
+    a key, and so is every GompConfig and DesignConfig field; SweepConfig
+    comes last, so its seed wins over DesignConfig.seed, which is set per
+    run from the experiment seed.
+    """
+    keys = {}
+    for owner in (GompConfig, DesignConfig, SweepConfig):
+        hints = typing.get_type_hints(owner)
+        keys.update((f.name, (owner, hints[f.name])) for f in fields(owner))
+    del keys["gomp"], keys["design"]
+    return keys
+
+
+_FLAT_FIELDS = _flat_fields()
 
 
 def config_from_dict(data: dict) -> SweepConfig:
@@ -422,67 +438,51 @@ def config_from_dict(data: dict) -> SweepConfig:
 
     Top-level keys mirror SweepConfig field names; the nested refinement
     and design settings use their own flat field names (i_max, j_max,
-    t_max, step_size, alpha, init).
+    t_max, step_size, alpha, init). Each value is cast to its field's
+    annotated type: a scalar given for a tuple field becomes a 1-tuple,
+    None is accepted only for optional fields, and a value that does not
+    fit (including a non-integral number for an integer field) is rejected
+    with its key.
     """
-    known = set(SweepConfig.__dataclass_fields__) - {"gomp", "design"}
-    gomp_kwargs = {}
-    design_kwargs = {}
-    top = {}
+    kwargs = {GompConfig: {}, DesignConfig: {}, SweepConfig: {}}
     for key, value in data.items():
-        if key in _GOMP_KEYS:
-            gomp_kwargs[key] = int(value)
-        elif key in _DESIGN_KEYS:
-            design_kwargs[key] = _cast_design(key, value)
-        elif key in known:
-            top[key] = _cast_top(key, value)
-        else:
+        if key not in _FLAT_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
+        owner, hint = _FLAT_FIELDS[key]
+        try:
+            kwargs[owner][key] = _cast(hint, value)
+        except (TypeError, ValueError, OverflowError):
+            expected = hint.__name__ if type(hint) is type else str(hint)
+            raise ValueError(f"config key {key!r} expects {expected}, got {value!r}") from None
     return SweepConfig(
-        gomp=GompConfig(**gomp_kwargs), design=DesignConfig(**design_kwargs), **top
+        gomp=GompConfig(**kwargs[GompConfig]), design=DesignConfig(**kwargs[DesignConfig]), **kwargs[SweepConfig]
     )
 
 
-def _cast_design(key: str, value):
-    if key == "init":
-        return str(value)
-    if key == "t_max":
-        return int(value)
-    return float(value)
-
-
-_TUPLE_KEYS = {"snr_grid_db", "alpha_candidates", "p_grid", "methods"}
-_INT_KEYS = {"N", "M", "P", "K", "L", "trials", "seed"}
-_FLOAT_KEYS = {"nu_max", "scene_nu_max", "min_separation"}
-
-
-def _cast_top(key: str, value):
-    if key in _TUPLE_KEYS:
+def _cast(hint, value):
+    """Cast a JSON value to a config field type: T, T | None or tuple[T, ...]
+    with T one of bool, int, float, str."""
+    if type(None) in typing.get_args(hint):
         if value is None:
             return None
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
         seq = value if isinstance(value, (list, tuple)) else [value]
-        if key == "methods":
-            return tuple(str(v) for v in seq)
-        if key == "p_grid":
-            return tuple(int(v) for v in seq)
-        return tuple(float(v) for v in seq)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return None if value is None else float(value)
-    if key == "on_grid":
-        return _cast_bool(key, value)
-    if key == "projection_kind":
-        return str(value)
-    return value
+        return tuple(_cast(typing.get_args(hint)[0], v) for v in seq)
+    if hint is bool:
+        return _cast_bool(value)
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError("non-integral value")
+    return hint(value)
 
 
-def _cast_bool(key: str, value) -> bool:
+def _cast_bool(value) -> bool:
     """A JSON boolean, or "true"/"false" in any case; bool("false") is True."""
     if isinstance(value, bool):
         return value
     if isinstance(value, str) and value.lower() in ("true", "false"):
         return value.lower() == "true"
-    raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+    raise ValueError("not a boolean")
 
 
 def load_config(path, overrides: dict | None = None) -> SweepConfig:

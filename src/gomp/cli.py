@@ -48,7 +48,7 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 def _load_config(args) -> bench.SweepConfig:
     overrides = dict(_parse_override(s) for s in (args.set or []))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if args.config is not None:
         return bench.load_config(args.config, overrides)
@@ -63,18 +63,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file with flat SweepConfig keys")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--seed", type=int, required=require_out, help="experiment seed")
-        p.add_argument("--out", required=require_out, help="output CSV path")
+        p.add_argument("--out", required=require_out, help="output CSV path" + ("" if require_out else " (default: stdout)"))
 
     add_common(sub.add_parser("design", help="trace one projection design run"), True)
     add_common(sub.add_parser("coherence", help="coherence traces per method and grid size"), True)
     add_common(sub.add_parser("sweep", help="MSE versus SNR Monte Carlo sweep"), True)
 
     est = sub.add_parser("estimate", help="estimate frequencies from a measurement CSV")
-    est.add_argument("--config", help="JSON config file with flat SweepConfig keys")
-    est.add_argument("--set", action="append", metavar="KEY=VALUE")
-    est.add_argument("--seed", type=int, help="seed for projection construction")
+    add_common(est, False)
     est.add_argument("--y", required=True, help="measurement CSV ('N,L' header, complex entries)")
-    est.add_argument("--out", help="output CSV path (default: stdout)")
     return parser
 
 

@@ -77,10 +77,6 @@ def _solve_pinv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return vh.conj().T @ ((u.conj().T @ b) / s[:, None] if b.ndim == 2 else (u.conj().T @ b) / s)
 
 
-def _phi_matrix(phi) -> np.ndarray:
-    return np.asarray(getattr(phi, "phi", phi), dtype=complex)
-
-
 def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous OMP over L snapshots.
 
@@ -93,7 +89,7 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     ----------
     y : (N, L) complex array
         Measurement snapshots.
-    psi : SensingMatrix or (N, P) complex array
+    psi : (N, P) complex array
         Sensing matrix whose columns are candidate responses.
     k : int
         Number of columns to select, at most N.
@@ -103,7 +99,7 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     indices : (k,) int array of selected grid indices, in selection order.
     coefficients : (k, L) complex array of joint least-squares waveforms.
     """
-    mat = np.asarray(getattr(psi, "psi", psi), dtype=complex)
+    mat = np.asarray(psi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     n, p = mat.shape
     if y.shape[0] != n:
@@ -161,13 +157,13 @@ def _refit(y: np.ndarray, phi_mat: np.ndarray, nu: float) -> tuple[np.ndarray, f
 
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
     """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
-    phi_mat = _phi_matrix(phi)
+    phi_mat = np.asarray(phi, dtype=complex)
     return _waveform(np.atleast_2d(np.asarray(y, dtype=complex)), _response(phi_mat, nu))
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
-    phi_mat = _phi_matrix(phi)
+    phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     return _residual(y, _response(phi_mat, nu), np.asarray(x, dtype=complex))
 
@@ -187,7 +183,7 @@ def delta_step(y: np.ndarray, phi, nu_ring: float, x: np.ndarray) -> float:
 
     so delta = Re(v_g^H R conj(x)) / (||x||^2 ||v_g||^2).
     """
-    phi_mat = _phi_matrix(phi)
+    phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     x = np.asarray(x, dtype=complex)
     a = steering_vector(nu_ring, phi_mat.shape[1])
@@ -212,7 +208,7 @@ def refine_single(
     the non-increasing sequence of accepted residual values, starting with
     the residual of (nu0, x0).
     """
-    phi_mat = _phi_matrix(phi)
+    phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     nu = float(nu0)
     x = np.asarray(x0, dtype=complex)
@@ -256,7 +252,7 @@ def refine_multi(
         If the joint system Phi A(nu) is rank-deficient, for example when
         two refined frequencies coincide; omp raises the same for its refit.
     """
-    phi_mat = _phi_matrix(phi)
+    phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float)).copy()
     x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
@@ -292,7 +288,7 @@ def estimate(y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array; the
     sensing matrix is formed internally from the dictionary.
     """
-    phi_mat = _phi_matrix(phi)
+    phi_mat = np.asarray(phi, dtype=complex)
     psi = phi_mat @ dictionary.A_ring
     indices, x0 = omp(y, psi, k)
     return refine_multi(y, phi_mat, dictionary.grid[indices], x0, cfg, grid_indices=indices)

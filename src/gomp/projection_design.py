@@ -24,14 +24,13 @@ from .array_model import Dictionary
 _CM_TOL = 1e-9
 
 
-def _as_matrix(phi) -> np.ndarray:
-    """Accept a ProjectionMatrix or a plain complex matrix."""
-    return np.asarray(getattr(phi, "phi", phi), dtype=complex)
-
-
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """N-by-M analog combiner with unit-modulus (phase-only) entries."""
+    """N-by-M analog combiner with unit-modulus (phase-only) entries.
+
+    np.asarray(projection) gives the matrix, so every function that takes a
+    projection also takes a plain complex array.
+    """
 
     phi: np.ndarray
 
@@ -42,45 +41,8 @@ class ProjectionMatrix:
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
 
-    @property
-    def N(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.phi.shape[1]
-
-
-@dataclass(frozen=True)
-class SensingMatrix:
-    """Psi = Phi @ A_ring together with its factors."""
-
-    psi: np.ndarray
-    source_phi: ProjectionMatrix
-    dictionary_ref: Dictionary
-
-    def __post_init__(self) -> None:
-        psi = np.atleast_2d(np.asarray(self.psi, dtype=complex))
-        n, p = psi.shape
-        if p < n:
-            raise ValueError(f"sensing matrix needs P >= N, got N={n}, P={p}")
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-
-    @property
-    def N(self) -> int:
-        return self.psi.shape[0]
-
-    @property
-    def P(self) -> int:
-        return self.psi.shape[1]
-
-
-def sensing_matrix(phi: ProjectionMatrix, dictionary: Dictionary) -> SensingMatrix:
-    """Form Psi = Phi @ A_ring."""
-    if phi.M != dictionary.M:
-        raise ValueError(f"projection has {phi.M} columns but dictionary has {dictionary.M} rows")
-    return SensingMatrix(psi=phi.phi @ dictionary.A_ring, source_phi=phi, dictionary_ref=dictionary)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.phi, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -149,7 +111,7 @@ def mutual_coherence(psi) -> float:
 
     max over i != j of |psi_i^H psi_j| / (||psi_i|| ||psi_j||).
     """
-    mat = np.asarray(getattr(psi, "psi", psi), dtype=complex)
+    mat = np.asarray(psi, dtype=complex)
     if mat.ndim != 2 or mat.shape[1] < 2:
         raise ValueError("mutual coherence needs a matrix with at least two columns")
     norms = np.linalg.norm(mat, axis=0)
@@ -170,28 +132,53 @@ def welch_bound(n: int, p: int) -> float:
     return math.sqrt((p - n) / (n * (p - 1)))
 
 
-def column_normalizer(q: np.ndarray) -> np.ndarray:
-    """Diagonal matrix D with D_pp = 1 / ||q_p||, so Q @ D has unit columns."""
-    q = np.asarray(q, dtype=complex)
-    norms = np.linalg.norm(q, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("cannot normalize a zero column")
-    return np.diag(1.0 / norms)
-
-
 def gram_error(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Normalized Gram residual E = D Q^H Q D - I.
+    """Normalized Gram residual E = D Q^H Q D - I with D = diag(d).
 
-    Hermitian with (numerically) zero diagonal when D holds the reciprocal
+    Hermitian with (numerically) zero diagonal when d holds the reciprocal
     column norms of Q.
     """
     q = np.asarray(q, dtype=complex)
     d = np.asarray(d)
-    diag = np.diagonal(d) if d.ndim == 2 else d
     p = q.shape[1]
-    if diag.shape[0] != p:
-        raise ValueError(f"normalizer has {diag.shape[0]} entries but Q has {p} columns")
-    return (q.conj().T @ q) * np.outer(diag, diag) - np.eye(p)
+    if d.shape != (p,):
+        raise ValueError(f"normalizer has shape {d.shape} but Q has {p} columns")
+    return _unit_gram_error(q.conj().T @ q, d)
+
+
+def _unit_gram_error(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D S D - I for the Gram matrix S = Q^H Q and D = diag(d)."""
+    e = s * np.outer(d, d)
+    e[np.diag_indices_from(e)] -= 1.0
+    return e
+
+
+def _gram_state(phi: np.ndarray, a: np.ndarray):
+    """(Q, d, S, E) at Phi: Q = Phi A_ring, d its reciprocal column norms,
+    S = Q^H Q and E the normalized Gram error. The objective, the descent
+    direction and the design loop all evaluate eta through this state."""
+    q = phi @ a
+    norms = np.linalg.norm(q, axis=0)
+    if np.any(norms == 0):
+        raise ValueError("eta is undefined when Phi @ A_ring has a zero column")
+    d = 1.0 / norms
+    s = q.conj().T @ q
+    return q, d, s, _unit_gram_error(s, d)
+
+
+def _descent(a, q, d, s, e_used, embed_unit_norm: bool = True) -> np.ndarray:
+    """4 Q D E D A^H - 2 Phi A R A^H with R = diag(C), C = 2 E D S D^3 and
+    E = e_used; without embed_unit_norm only the first term."""
+    grad = 4.0 * ((q * d) @ (e_used * d)) @ a.conj().T
+    if embed_unit_norm:
+        c = 2.0 * e_used @ (s * np.outer(d, d**3))
+        r = np.real(np.diagonal(c))
+        grad = grad - 2.0 * (q @ (r[:, None] * a.conj().T))
+    return grad
+
+
+def _eta(e: np.ndarray) -> float:
+    return float(np.linalg.norm(e) ** 2)
 
 
 def shrink_error(e: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -219,12 +206,7 @@ def objective_eta(phi, dictionary: Dictionary) -> float:
     Accepts a ProjectionMatrix or any complex matrix (the design line search
     evaluates points off the constant-modulus manifold).
     """
-    q = _as_matrix(phi) @ dictionary.A_ring
-    norms = np.linalg.norm(q, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("objective is undefined when Phi @ A_ring has a zero column")
-    e = gram_error(q, 1.0 / norms)
-    return float(np.linalg.norm(e) ** 2)
+    return _eta(_gram_state(np.asarray(phi, dtype=complex), dictionary.A_ring)[3])
 
 
 def gradient_eta(phi, dictionary: Dictionary, e_used: np.ndarray) -> np.ndarray:
@@ -236,20 +218,8 @@ def gradient_eta(phi, dictionary: Dictionary, e_used: np.ndarray) -> np.ndarray:
     twice the conjugate Wirtinger gradient, so the directional derivative
     of eta along Delta is exactly Re <G, Delta>.
     """
-    phi_mat = _as_matrix(phi)
-    a = dictionary.A_ring
-    q = phi_mat @ a
-    norms = np.linalg.norm(q, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("gradient is undefined when Phi @ A_ring has a zero column")
-    d = 1.0 / norms
-    e_used = np.asarray(e_used, dtype=complex)
-    s = q.conj().T @ q
-    c = 2.0 * e_used @ (s * np.outer(d, d**3))
-    r = np.real(np.diagonal(c))
-    term1 = 4.0 * ((q * d) @ (e_used * d)) @ a.conj().T
-    term2 = 2.0 * (q @ (r[:, None] * a.conj().T))
-    return term1 - term2
+    q, d, s, _ = _gram_state(np.asarray(phi, dtype=complex), dictionary.A_ring)
+    return _descent(dictionary.A_ring, q, d, s, np.asarray(e_used, dtype=complex))
 
 
 def cm_project(z: np.ndarray) -> np.ndarray:
@@ -327,56 +297,29 @@ def design(
     instead of inside the objective.
     """
     a = dictionary.A_ring
-    n = phi0.N
-    p = dictionary.P
-    beta = welch_bound(n, p)
-    eye = np.eye(p)
+    phi = np.array(phi0, dtype=complex)
+    beta = welch_bound(phi.shape[0], dictionary.P)
     shrink = math.isfinite(cfg.alpha)
-
-    def stats(phi_mat: np.ndarray):
-        q = phi_mat @ a
-        norms = np.linalg.norm(q, axis=0)
-        if np.any(norms == 0):
-            raise ValueError("design encountered a zero column in Phi @ A_ring")
-        d = 1.0 / norms
-        s = q.conj().T @ q
-        e = s * np.outer(d, d) - eye
-        return q, d, s, e
-
-    def eta_of(phi_mat: np.ndarray) -> float:
-        return float(np.linalg.norm(stats(phi_mat)[3]) ** 2)
-
-    phi = np.array(phi0.phi)
-    q, d, s, e = stats(phi)
-    mu = float(min(np.max(np.abs(e)), 1.0))
-    eta = float(np.linalg.norm(e) ** 2)
-    mus = [mu]
-    etas = [eta]
-    steps = []
-    best_mu, best_phi, best_iter = mu, phi.copy(), 0
+    mus, etas, steps = [], [], []
+    best_phi, best_iter = phi, 0
     base = cfg.step_size
-    for t in range(1, cfg.t_max + 1):
-        e_used = shrink_error(e, cfg.alpha, beta) if shrink else e
-        grad = 4.0 * ((q * d) @ (e_used * d)) @ a.conj().T
-        if embed_unit_norm:
-            c = 2.0 * e_used @ (s * np.outer(d, d**3))
-            r = np.real(np.diagonal(c))
-            grad = grad - 2.0 * (q @ (r[:, None] * a.conj().T))
-        step = base
-        halvings = 0
-        while halvings < 20 and eta_of(phi - step * grad) > eta:
-            step *= 0.5
-            halvings += 1
-        phi = cm_project(phi - step * grad)
-        base = min(step * 2.0, 1e9) if halvings == 0 else step
-        steps.append(step)
-        q, d, s, e = stats(phi)
-        mu = float(min(np.max(np.abs(e)), 1.0))
-        eta = float(np.linalg.norm(e) ** 2)
-        mus.append(mu)
-        etas.append(eta)
-        if mu < best_mu:
-            best_mu, best_phi, best_iter = mu, phi.copy(), t
+    for t in range(cfg.t_max + 1):
+        if t:
+            e_used = shrink_error(e, cfg.alpha, beta) if shrink else e
+            grad = _descent(a, q, d, s, e_used, embed_unit_norm)
+            step = base
+            halvings = 0
+            while halvings < 20 and _eta(_gram_state(phi - step * grad, a)[3]) > etas[-1]:
+                step *= 0.5
+                halvings += 1
+            phi = cm_project(phi - step * grad)
+            base = min(step * 2.0, 1e9) if halvings == 0 else step
+            steps.append(step)
+        q, d, s, e = _gram_state(phi, a)
+        mus.append(float(min(np.max(np.abs(e)), 1.0)))
+        etas.append(_eta(e))
+        if mus[t] < mus[best_iter]:
+            best_phi, best_iter = phi, t
     return DesignTrace(
         coherence_per_iter=np.array(mus),
         objective_per_iter=np.array(etas),

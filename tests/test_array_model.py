@@ -139,8 +139,6 @@ def test_ula_config_validation():
     UlaConfig(M=2)
     with pytest.raises(ValueError):
         UlaConfig(M=1)
-    with pytest.raises(ValueError):
-        UlaConfig(M=4, spacing_ratio=0.0)
 
 
 def test_source_scene_validation():

@@ -5,12 +5,15 @@ scene drawing determinism and separation, CSV emission contracts, config
 parsing and validation, and small deterministic experiment runs.
 """
 
+import dataclasses
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gomp.bench import (
     CoherenceResult,
@@ -29,6 +32,7 @@ from gomp.bench import (
     run_mse_sweep,
     write_measurements_csv,
 )
+from gomp.cli import cli
 from gomp.estimator import GompConfig
 from gomp.projection_design import DesignConfig
 
@@ -150,6 +154,79 @@ def test_config_on_grid_casting():
     for value in ("no", "0", 0, 1, None):
         with pytest.raises(ValueError, match="on_grid"):
             config_from_dict({"on_grid": value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", [4]), ("nu_max", None), ("alpha", None), ("K", "x"), ("i_max", 2.7),
+])
+def test_config_value_that_does_not_fit_is_named(key, value, capsys):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        config_from_dict({key: value})
+    assert cli(["estimate", "--set", f"{key}={json.dumps(value)}", "--y", "unused.csv"]) == 1
+    assert f"error: config key '{key}'" in capsys.readouterr().err
+
+
+def _flatten(cfg: SweepConfig) -> dict:
+    """The flat keys of a config: every top-level field but the nested
+    settings, plus every GompConfig and DesignConfig field but the design
+    seed (the experiment seed sets it)."""
+    flat = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("gomp", "design")}
+    flat.update(dataclasses.asdict(cfg.gomp))
+    flat.update({k: v for k, v in dataclasses.asdict(cfg.design).items() if k != "seed"})
+    return flat
+
+
+_FINITE = st.floats(-60.0, 60.0, allow_nan=False)
+_POSITIVE = st.floats(1e-3, 10.0)
+_KINDS = st.sampled_from(("designed", "dft", "random", "gd_prior_a", "gd_prior_b"))
+
+
+def _names(cls, *skip):
+    return {f.name for f in dataclasses.fields(cls)} - set(skip)
+
+
+@st.composite
+def _sweep_configs(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    m = draw(st.integers(n, 16))
+    tuples = lambda elem: st.lists(elem, min_size=1, max_size=4).map(tuple)
+    top = dict(
+        N=n, M=m, P=draw(st.integers(m, 64)), K=k,
+        L=draw(st.integers(1, 32)),
+        snr_grid_db=draw(tuples(_FINITE | st.just(math.inf))),
+        trials=draw(st.integers(1, 500)),
+        seed=draw(st.integers(0, 2**31)),
+        projection_kind=draw(_KINDS),
+        nu_max=draw(_POSITIVE),
+        scene_nu_max=draw(st.none() | _POSITIVE),
+        min_separation=draw(st.none() | _POSITIVE),
+        on_grid=draw(st.booleans()),
+        alpha_candidates=draw(tuples(st.floats(1.0, 10.0) | st.just(math.inf))),
+        p_grid=draw(st.none() | tuples(st.integers(1, 512))),
+        methods=draw(tuples(_KINDS)),
+    )
+    gomp = dict(i_max=draw(st.integers(1, 50)), j_max=draw(st.integers(1, 20)))
+    design = dict(
+        t_max=draw(st.integers(0, 500)),
+        step_size=draw(_POSITIVE),
+        alpha=draw(st.floats(1.0, 10.0) | st.just(math.inf)),
+        init=draw(st.sampled_from(("svd", "random"))),
+    )
+    # every flat key is drawn, so a new field fails here until it is covered
+    assert top.keys() == _names(SweepConfig, "gomp", "design")
+    assert gomp.keys() == _names(GompConfig)
+    assert design.keys() == _names(DesignConfig, "seed")
+    return SweepConfig(gomp=GompConfig(**gomp), design=DesignConfig(**design), **top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_configs())
+def test_config_round_trips_through_flat_json(cfg):
+    """Flattening a config, passing it through JSON and parsing it back
+    gives the same config, with the same value types."""
+    back = config_from_dict(json.loads(json.dumps(_flatten(cfg))))
+    assert back == cfg and repr(back) == repr(cfg)
 
 
 def test_load_config_with_overrides(tmp_path):

@@ -14,7 +14,6 @@ from gomp.projection_design import (
     DesignConfig,
     ProjectionMatrix,
     cm_project,
-    column_normalizer,
     design,
     design_with_alpha_sweep,
     dft_projection,
@@ -24,7 +23,6 @@ from gomp.projection_design import (
     mutual_coherence,
     objective_eta,
     random_cm_projection,
-    sensing_matrix,
     shrink_error,
     svd_projection,
     welch_bound,
@@ -44,6 +42,10 @@ def _random_instance(rng, n=None, m=None, p=None):
     dictionary = build_dictionary(p, nu_max, m)
     phi = random_cm_projection(n, m, seed=int(rng.integers(0, 2**31)))
     return phi, dictionary
+
+
+def _inv_norms(q):
+    return 1.0 / np.linalg.norm(q, axis=0)
 
 
 # ---------------------------------------------------------------- coherence
@@ -104,47 +106,23 @@ def test_welch_bound_is_a_lower_bound():
         assert welch_bound(n, p) <= mutual_coherence(psi) + 1e-9
 
 
-# -------------------------------------------------- normalizer / gram error
-
-def test_column_normalizer_unit_columns():
-    q = np.eye(3)
-    assert np.allclose(column_normalizer(q), np.eye(3))
-
-
-def test_column_normalizer_diagonal_values():
-    q = np.array([[2.0, 0.0], [0.0, 4.0]])
-    assert np.allclose(column_normalizer(q), np.diag([0.5, 0.25]))
-
-
-def test_column_normalizer_random_unit_norms():
-    rng = np.random.default_rng(2)
-    q = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    d = column_normalizer(q)
-    assert np.allclose(np.linalg.norm(q @ d, axis=0), 1.0, atol=1e-12)
-
-
-def test_column_normalizer_rejects_zero_column():
-    q = np.ones((3, 2))
-    q[:, 0] = 0
-    with pytest.raises(ValueError):
-        column_normalizer(q)
-
+# -------------------------------------------------------------- gram error
 
 def test_gram_error_orthonormal_columns():
     q = np.eye(4)[:, :3]
-    assert np.allclose(gram_error(q, column_normalizer(q)), 0.0)
+    assert np.allclose(gram_error(q, _inv_norms(q)), 0.0)
 
 
 def test_gram_error_duplicate_columns():
     q = np.array([[1.0, 1.0], [0.0, 0.0]])
-    e = gram_error(q, column_normalizer(q))
+    e = gram_error(q, _inv_norms(q))
     assert np.allclose(e, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_gram_error_hermitian_zero_diagonal():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-    e = gram_error(q, column_normalizer(q))
+    e = gram_error(q, _inv_norms(q))
     assert np.max(np.abs(e - e.conj().T)) < 1e-12
     assert np.max(np.abs(np.diagonal(e))) < 1e-12
 
@@ -220,7 +198,7 @@ def test_objective_matches_reevaluation():
     for _ in range(10):
         phi, d = _random_instance(rng)
         q = phi.phi @ d.A_ring
-        dn = column_normalizer(q)
+        dn = np.diag(_inv_norms(q))
         expected = np.linalg.norm(dn @ q.conj().T @ q @ dn - np.eye(d.P)) ** 2
         assert objective_eta(phi, d) == pytest.approx(expected, rel=1e-12)
 
@@ -239,7 +217,7 @@ def test_gradient_fd_consistency_frozen_constant():
     for _ in range(8):
         phi, d = _random_instance(rng)
         q = phi.phi @ d.A_ring
-        e = gram_error(q, column_normalizer(q))
+        e = gram_error(q, _inv_norms(q))
         g = gradient_eta(phi, d, e)
         for _ in range(5):
             delta = rng.standard_normal(phi.phi.shape) + 1j * rng.standard_normal(phi.phi.shape)
@@ -248,13 +226,27 @@ def test_gradient_fd_consistency_frozen_constant():
             assert fd == pytest.approx(FD_CONSTANT * inner, rel=1e-5), "direction mismatch"
 
 
+def test_zero_column_rejected_by_objective_gradient_and_design():
+    """Phi = [1, -1] cancels a(0) = [1, 1], so Phi @ A_ring has a zero column
+    and eta is undefined."""
+    d = build_dictionary(2, 2 * np.pi, 2)
+    phi = ProjectionMatrix(phi=np.array([[1.0, -1.0]]))
+    assert np.array_equal(np.abs(phi.phi @ d.A_ring), [[0.0, 2.0]])
+    with pytest.raises(ValueError, match="zero column"):
+        objective_eta(phi, d)
+    with pytest.raises(ValueError, match="zero column"):
+        gradient_eta(phi, d, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="zero column"):
+        design(d, DesignConfig(t_max=3), phi)
+
+
 def test_gradient_is_descent_direction():
     rng = np.random.default_rng(11)
     n_desc = 0
     for _ in range(100):
         phi, d = _random_instance(rng, n=2, m=3, p=4)
         q = phi.phi @ d.A_ring
-        e = gram_error(q, column_normalizer(q))
+        e = gram_error(q, _inv_norms(q))
         g = gradient_eta(phi, d, e)
         if objective_eta(phi.phi - 1e-6 * g, d) < objective_eta(phi, d):
             n_desc += 1
@@ -296,14 +288,6 @@ def test_projection_matrix_rejects_non_cm():
         ProjectionMatrix(phi=np.array([[1.0, 0.5]]))
 
 
-def test_sensing_matrix_factory():
-    d = build_dictionary(8, 2 * np.pi, 4)
-    phi = random_cm_projection(2, 4, seed=0)
-    s = sensing_matrix(phi, d)
-    assert np.allclose(s.psi, phi.phi @ d.A_ring)
-    assert s.N == 2 and s.P == 8
-
-
 # ------------------------------------------------------------------- design
 
 def test_design_zero_iterations_returns_start():
@@ -315,6 +299,56 @@ def test_design_zero_iterations_returns_start():
     assert trace.final_coherence == pytest.approx(
         mutual_coherence(phi0.phi @ d.A_ring), abs=1e-12
     )
+
+
+def _reference_design(d, cfg, phi0):
+    """The design loop spelled out with the public kernels: shrink the Gram
+    error, step along gradient_eta, halve (at most 20 times) while
+    objective_eta rises, project, and double the next start step after an
+    iteration that needed no halving."""
+    beta = welch_bound(phi0.phi.shape[0], d.P)
+    phi = np.array(phi0.phi)
+
+    def gram(phi):
+        q = phi @ d.A_ring
+        return gram_error(q, _inv_norms(q))
+
+    e = gram(phi)
+    mus, etas, steps = [min(np.max(np.abs(e)), 1.0)], [objective_eta(phi, d)], []
+    best_phi = phi
+    base = cfg.step_size
+    for _ in range(cfg.t_max):
+        e_used = shrink_error(e, cfg.alpha, beta) if np.isfinite(cfg.alpha) else e
+        grad = gradient_eta(phi, d, e_used)
+        step, halvings = base, 0
+        while halvings < 20 and objective_eta(phi - step * grad, d) > etas[-1]:
+            step *= 0.5
+            halvings += 1
+        phi = cm_project(phi - step * grad)
+        base = min(step * 2.0, 1e9) if halvings == 0 else step
+        steps.append(step)
+        e = gram(phi)
+        mus.append(min(np.max(np.abs(e)), 1.0))
+        etas.append(objective_eta(phi, d))
+        if mus[-1] < min(mus[:-1]):
+            best_phi = phi
+    return np.array(mus), np.array(etas), np.array(steps), best_phi
+
+
+@pytest.mark.parametrize("alpha", [1.5, np.inf])
+def test_design_equals_public_kernel_loop(alpha):
+    """design() runs the verified objective and gradient: its trace and
+    final Phi equal, bitwise, a loop built from the public kernels."""
+    d = build_dictionary(32, 2 * np.pi * 0.7, 16)
+    cfg = DesignConfig(t_max=15, step_size=5.0, alpha=alpha)  # a large start forces halvings
+    phi0 = initial_projection(d, 4, cfg)
+    trace = design(d, cfg, phi0)
+    mus, etas, steps, best_phi = _reference_design(d, cfg, phi0)
+    assert len(set(steps)) > 2  # both the halving and the doubling rule ran
+    assert np.array_equal(trace.coherence_per_iter, mus)
+    assert np.array_equal(trace.objective_per_iter, etas)
+    assert np.array_equal(trace.step_per_iter, steps)
+    assert np.array_equal(trace.final_phi.phi, best_phi)
 
 
 def test_design_improves_on_start():
