@@ -125,18 +125,12 @@ class SweepResult:
 
     rows: tuple
 
-    def csv_header(self, include_runtime: bool = False) -> list[str]:
-        head = ["method", "snr_db", "mse_ongrid", "mse_refined", "trials_ok", "failed_trials"]
-        if include_runtime:
-            head.insert(4, "mean_runtime_s")
-        return head
+    def csv_header(self) -> list[str]:
+        return ["method", "snr_db", "mse_ongrid", "mse_refined", "trials_ok", "failed_trials"]
 
-    def csv_rows(self, include_runtime: bool = False):
+    def csv_rows(self):
         for r in sorted(self.rows, key=lambda r: (r.method, r.snr_db)):
-            row = [r.method, r.snr_db, r.mse_ongrid, r.mse_refined, r.trials_ok, r.failed_trials]
-            if include_runtime:
-                row.insert(4, r.mean_runtime_s)
-            yield row
+            yield [r.method, r.snr_db, r.mse_ongrid, r.mse_refined, r.trials_ok, r.failed_trials]
 
 
 @dataclass(frozen=True)
@@ -343,23 +337,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit_csv(result, path, include_runtime: bool = False) -> None:
+def emit_csv(result, path) -> None:
     """Write a result's rows as CSV with deterministic order and formatting.
 
-    Numbers are printed with 9 significant digits. The sweep runtime column
-    is omitted by default so that identical configurations produce
-    byte-identical files.
+    Numbers are printed with 9 significant digits. The sweep runtime
+    (SweepRow.mean_runtime_s) is never written, so that identical
+    configurations produce byte-identical files.
     """
-    if isinstance(result, SweepResult):
-        header = result.csv_header(include_runtime)
-        rows = result.csv_rows(include_runtime)
-    else:
-        header = result.csv_header()
-        rows = result.csv_rows()
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
+            fh.write(",".join(result.csv_header()) + "\n")
+            for row in result.csv_rows():
                 fh.write(",".join(_format_value(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc

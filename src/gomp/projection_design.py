@@ -3,12 +3,15 @@
 Mutual-coherence diagnostics for sensing matrices Psi = Phi @ A_ring and a
 projected gradient-descent designer that keeps every entry of Phi on the
 unit circle. The objective embeds the unit-column-norm constraint directly:
-with Q = Phi @ A_ring and D = diag(1/||q_p||),
+with Q = Phi @ A_ring (N x P) and D = diag(1/||q_p||),
 
-    eta(Phi) = || D Q^H Q D - I ||_F^2,
+    eta(Phi) = || D Q^H Q D - I ||_F^2
+             = || G - (P/N) I ||_F^2 + P (P - N) / N,   G = (Q D)(Q D)^H,
 
-and the descent direction applies an entry-wise soft threshold (shrinking)
-to the Gram error so that updates concentrate on the worst column pairs.
+by the frame-potential identity ||(QD)^H QD||_F = ||G||_F, trace(G) = P. eta
+is evaluated in the N x N form, whose terms are both nonnegative for P >= N.
+The descent direction applies an entry-wise soft threshold (shrinking) to
+the P x P Gram error so that updates concentrate on the worst column pairs.
 DFT-row and random-phase baselines are included for comparison.
 """
 
@@ -149,36 +152,50 @@ def gram_error(q: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _unit_gram_error(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """D S D - I for the Gram matrix S = Q^H Q and D = diag(d)."""
     e = s * np.outer(d, d)
-    e[np.diag_indices_from(e)] -= 1.0
+    e.flat[:: d.size + 1] -= 1.0
     return e
 
 
-def _gram_state(phi: np.ndarray, a: np.ndarray):
-    """(Q, d, S, E) at Phi: Q = Phi A_ring, d its reciprocal column norms,
-    S = Q^H Q and E the normalized Gram error. The objective, the descent
-    direction and the design loop all evaluate eta through this state."""
+def _columns(phi: np.ndarray, a: np.ndarray):
+    """(Q, d): Q = Phi A_ring and d its reciprocal column norms. Every eta
+    evaluation takes the column norms here, once."""
     q = phi @ a
     norms = np.linalg.norm(q, axis=0)
     if np.any(norms == 0):
         raise ValueError("eta is undefined when Phi @ A_ring has a zero column")
-    d = 1.0 / norms
+    return q, 1.0 / norms
+
+
+def _gram_state(phi: np.ndarray, a: np.ndarray):
+    """(Q, d, S, E) at Phi: S = Q^H Q and E the normalized Gram error, which
+    the descent direction and the coherence read."""
+    q, d = _columns(phi, a)
     s = q.conj().T @ q
     return q, d, s, _unit_gram_error(s, d)
 
 
-def _descent(a, q, d, s, e_used, embed_unit_norm: bool = True) -> np.ndarray:
-    """4 Q D E D A^H - 2 Phi A R A^H with R = diag(C), C = 2 E D S D^3 and
-    E = e_used; without embed_unit_norm only the first term."""
-    grad = 4.0 * ((q * d) @ (e_used * d)) @ a.conj().T
+def _frame_eta(q: np.ndarray, d: np.ndarray) -> float:
+    """eta = ||G - (P/N) I||_F^2 + P (P - N) / N from the N x N frame operator
+    G = (Q D)(Q D)^H. The objective, every line-search try and the recorded
+    eta use this one kernel, so the line search compares like with like."""
+    n, p = q.shape
+    qd = q * d
+    g = qd @ qd.conj().T
+    g.flat[:: n + 1] -= p / n
+    return float(np.linalg.norm(g) ** 2) + p * (p - n) / n
+
+
+def _descent(ah, q, d, s, e_used, embed_unit_norm: bool = True) -> np.ndarray:
+    """Q W A^H with W = 4 D E D - 2 diag(r) and E = e_used, where ah = A^H.
+
+    r is the diagonal of C = 2 E D S D^3, r_i = 2 d_i^3 Re sum_j E_ij S_ji d_j,
+    taken in O(P^2) without forming C. Without embed_unit_norm W = 4 D E D.
+    """
+    w = e_used * np.outer(4.0 * d, d)
     if embed_unit_norm:
-        c = 2.0 * e_used @ (s * np.outer(d, d**3))
-        r = np.real(np.diagonal(c))
-        grad = grad - 2.0 * (q @ (r[:, None] * a.conj().T))
-    return grad
-
-
-def _eta(e: np.ndarray) -> float:
-    return float(np.linalg.norm(e) ** 2)
+        r = 2.0 * d**3 * np.real((e_used * s.T) @ d)
+        w.flat[:: d.size + 1] -= 2.0 * r
+    return (q @ w) @ ah
 
 
 def shrink_error(e: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -201,12 +218,13 @@ def shrink_error(e: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 
 def objective_eta(phi, dictionary: Dictionary) -> float:
-    """Squared Frobenius norm of the normalized Gram residual of Phi @ A_ring.
+    """Squared Frobenius norm ||D S D - I||_F^2 of the normalized Gram residual
+    of Phi @ A_ring, evaluated from the N x N frame operator (see _frame_eta).
 
     Accepts a ProjectionMatrix or any complex matrix (the design line search
     evaluates points off the constant-modulus manifold).
     """
-    return _eta(_gram_state(np.asarray(phi, dtype=complex), dictionary.A_ring)[3])
+    return _frame_eta(*_columns(np.asarray(phi, dtype=complex), dictionary.A_ring))
 
 
 def gradient_eta(phi, dictionary: Dictionary, e_used: np.ndarray) -> np.ndarray:
@@ -219,7 +237,7 @@ def gradient_eta(phi, dictionary: Dictionary, e_used: np.ndarray) -> np.ndarray:
     of eta along Delta is exactly Re <G, Delta>.
     """
     q, d, s, _ = _gram_state(np.asarray(phi, dtype=complex), dictionary.A_ring)
-    return _descent(dictionary.A_ring, q, d, s, np.asarray(e_used, dtype=complex))
+    return _descent(dictionary.A_ring.conj().T, q, d, s, np.asarray(e_used, dtype=complex))
 
 
 def cm_project(z: np.ndarray) -> np.ndarray:
@@ -297,6 +315,7 @@ def design(
     instead of inside the objective.
     """
     a = dictionary.A_ring
+    ah = a.conj().T
     phi = np.array(phi0, dtype=complex)
     beta = welch_bound(phi.shape[0], dictionary.P)
     shrink = math.isfinite(cfg.alpha)
@@ -306,10 +325,10 @@ def design(
     for t in range(cfg.t_max + 1):
         if t:
             e_used = shrink_error(e, cfg.alpha, beta) if shrink else e
-            grad = _descent(a, q, d, s, e_used, embed_unit_norm)
+            grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
             step = base
             halvings = 0
-            while halvings < 20 and _eta(_gram_state(phi - step * grad, a)[3]) > etas[-1]:
+            while halvings < 20 and _frame_eta(*_columns(phi - step * grad, a)) > etas[-1]:
                 step *= 0.5
                 halvings += 1
             phi = cm_project(phi - step * grad)
@@ -317,7 +336,7 @@ def design(
             steps.append(step)
         q, d, s, e = _gram_state(phi, a)
         mus.append(float(min(np.max(np.abs(e)), 1.0)))
-        etas.append(_eta(e))
+        etas.append(_frame_eta(q, d))
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
     return DesignTrace(

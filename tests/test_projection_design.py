@@ -6,8 +6,12 @@ directional derivative of eta along Delta equals Re<G, Delta> with a
 single constant 1.0), descent behavior, and the design loop contracts.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gomp.array_model import Dictionary, build_dictionary, steering_matrix
 from gomp.projection_design import (
@@ -203,6 +207,56 @@ def test_objective_matches_reevaluation():
         assert objective_eta(phi, d) == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra_m=st.integers(0, 4),
+    extra_p=st.integers(0, 8),
+    nu_max=st.floats(0.1, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_frame_form_matches_dense_and_welch_floor(n, extra_m, extra_p, nu_max, seed):
+    """For P >= M >= N, objective_eta, evaluated from the N x N frame
+    operator, equals the dense ||D S D - I||_F^2 and never falls below the
+    frame-potential floor P (P - N) / N."""
+    m = n + extra_m
+    p = max(m + extra_p, 2)
+    d = build_dictionary(p, nu_max, m)
+    phi = random_cm_projection(n, m, seed=seed)
+    q = phi.phi @ d.A_ring
+    dn = np.diag(_inv_norms(q))
+    dense = np.linalg.norm(dn @ q.conj().T @ q @ dn - np.eye(p)) ** 2
+    eta = objective_eta(phi, d)
+    assert eta == pytest.approx(dense, rel=1e-12)
+    assert eta >= p * (p - n) / n - 1e-9
+
+
+def test_gradient_shrunk_error_matches_dense_reference():
+    """With a shrunk error E, gradient_eta equals the dense
+    4 Q D E D A^H - 2 Phi A diag(C) A^H, C = 2 E D S D^3 formed in full; the
+    finite-difference oracle covers only the raw Gram error."""
+    rng = np.random.default_rng(14)
+    for i in range(24):
+        if i % 3 == 0:  # square: P = M = N
+            p = int(rng.integers(4, 9))
+            phi, d = _random_instance(rng, n=p, m=p, p=p)
+        else:
+            phi, d = _random_instance(rng)
+        n = phi.phi.shape[0]
+        q = phi.phi @ d.A_ring
+        e = gram_error(q, _inv_norms(q))
+        off = np.abs(e[~np.eye(d.P, dtype=bool)])
+        e_used = shrink_error(e, float(rng.uniform(1.0, 2.0)), 0.5 * float(np.median(off)))
+        assert 0 < np.count_nonzero(e_used) < e.size - d.P
+        dn = np.diag(_inv_norms(q))
+        c = 2.0 * e_used @ dn @ (q.conj().T @ q) @ dn**3
+        ah = d.A_ring.conj().T
+        ref = 4.0 * q @ dn @ e_used @ dn @ ah - 2.0 * q @ np.diag(np.real(np.diag(c))) @ ah
+        g = gradient_eta(phi, d, e_used)
+        assert g.shape == (n, d.M)
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_gradient_zero_error_gives_zero():
     rng = np.random.default_rng(9)
     phi, d = _random_instance(rng)
@@ -349,6 +403,32 @@ def test_design_equals_public_kernel_loop(alpha):
     assert np.array_equal(trace.objective_per_iter, etas)
     assert np.array_equal(trace.step_per_iter, steps)
     assert np.array_equal(trace.final_phi.phi, best_phi)
+
+
+def _replayed_evaluations(steps, step_size):
+    """Objective evaluations per iteration, replayed from the accepted steps:
+    an iteration that halved h times from the carried step evaluated h + 1
+    trials (20 at the halving cap), and the carried step doubles after an
+    iteration with no halving."""
+    evals, base = [], step_size
+    for step in steps:
+        halvings = round(math.log2(base / step))
+        evals.append(halvings + 1 if halvings < 20 else 20)
+        base = min(step * 2.0, 1e9) if halvings == 0 else step
+    return evals
+
+
+def test_design_line_search_cost():
+    """The backtracking line search needs few objective evaluations per
+    iteration at the Fig.-1 point (1.525 with alpha = 1); a line search that
+    rejects most trial steps shows here."""
+    d = build_dictionary(64, 2 * np.pi, 64)
+    cfg = DesignConfig(t_max=200, alpha=1.0)
+    trace = design(d, cfg, initial_projection(d, 16, cfg))
+    evals = _replayed_evaluations(trace.step_per_iter, cfg.step_size)
+    assert len(evals) == cfg.t_max
+    print(f"\n  line-search evaluations per iteration: {np.mean(evals):.3f}")
+    assert np.mean(evals) <= 2.0
 
 
 def test_design_improves_on_start():
