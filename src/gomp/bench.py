@@ -29,6 +29,7 @@ from .array_model import (
 )
 from .estimator import GompConfig, estimate
 from .projection_design import (
+    DEFAULT_ALPHAS,
     DesignConfig,
     design,
     design_with_alpha_sweep,
@@ -39,8 +40,6 @@ from .projection_design import (
 )
 
 PROJECTION_KINDS = ("designed", "dft", "random", "gd_prior_a", "gd_prior_b")
-
-DEFAULT_ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -328,8 +327,6 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -41,14 +41,13 @@ class GompConfig:
 class EstimationResult:
     """Estimated frequencies and waveforms plus refinement diagnostics.
 
-    residual_history concatenates the accepted squared-residual values of
-    every single-source refinement in execution order; histories keeps the
-    per-refinement segments (each one non-increasing).
+    histories holds, in execution order, the accepted squared-residual
+    values of every single-source refinement pass, one non-increasing
+    array per pass.
     """
 
     nu_hat: np.ndarray
     X_hat: np.ndarray
-    residual_history: np.ndarray
     histories: tuple
     initial_grid_indices: np.ndarray | None = None
 
@@ -74,7 +73,7 @@ def _solve_pinv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"rank-deficient least-squares system (singular values {s.min():.3e}..{s.max():.3e})"
         )
-    return vh.conj().T @ ((u.conj().T @ b) / s[:, None] if b.ndim == 2 else (u.conj().T @ b) / s)
+    return vh.conj().T @ ((u.conj().T @ b) / s[:, None])
 
 
 def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,70 +128,57 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(chosen), coeffs
 
 
-def _response(phi_mat: np.ndarray, nu: float) -> np.ndarray:
-    """Projected steering response Phi a(nu)."""
-    return phi_mat @ steering_vector(nu, phi_mat.shape[1])
+def _fit(
+    y: np.ndarray, phi_mat: np.ndarray, nu: float, x: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The single-source fit at nu, all from one response v = Phi a(nu).
 
-
-def _waveform(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least-squares waveform v^H Y / ||v||^2 for a fixed response v."""
-    vc = v.conj()
-    denom = np.real(vc @ v)
-    if denom == 0:
-        raise ValueError("Phi a(nu) is zero; waveform is unidentifiable")
-    return (vc @ y) / denom
-
-
-def _residual(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
-    """Squared Frobenius residual ||Y - v x^T||_F^2."""
-    return float(np.linalg.norm(y - v[:, None] * x) ** 2)
-
-
-def _refit(y: np.ndarray, phi_mat: np.ndarray, nu: float) -> tuple[np.ndarray, float]:
-    """Waveform fit at nu and its squared residual, from one Phi a(nu)."""
-    v = _response(phi_mat, nu)
-    x = _waveform(y, v)
-    return x, _residual(y, v, x)
+    Returns (a, x, R, eps): the steering vector a(nu), the waveform x (the
+    least-squares fit v^H Y / ||v||^2 unless x is given), the residual
+    R = Y - v x^T and eps = ||R||_F^2.
+    """
+    a = steering_vector(nu, phi_mat.shape[1])
+    v = phi_mat @ a
+    if x is None:
+        vc = v.conj()
+        denom = np.real(vc @ v)
+        if denom == 0:
+            raise ValueError("Phi a(nu) is zero; waveform is unidentifiable")
+        x = (vc @ y) / denom
+    r = y - v[:, None] * x
+    return a, x, r, float(np.linalg.norm(r) ** 2)
 
 
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
     """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
-    phi_mat = np.asarray(phi, dtype=complex)
-    return _waveform(np.atleast_2d(np.asarray(y, dtype=complex)), _response(phi_mat, nu))
+    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), nu)[1]
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
-    phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    return _residual(y, _response(phi_mat, nu), np.asarray(x, dtype=complex))
+    return _fit(y, np.asarray(phi, dtype=complex), nu, np.asarray(x, dtype=complex))[3]
 
 
-def delta_step(y: np.ndarray, phi, nu_ring: float, x: np.ndarray) -> float:
+def delta_step(resid: np.ndarray, vg: np.ndarray, x: np.ndarray) -> float:
     """Real frequency correction from the linearized steering model.
 
     This is the vectorized least-squares problem of the paper: with Y
     vectorized column-major, solve y ~ (x kron Phi a(nu)) + (x kron Phi g(nu))
     delta for real delta, where g is the steering gradient. Exact to first
-    order in the offset. With v_a = Phi a(nu), v_g = Phi g(nu) and
-    R = Y - v_a x^T, two Kronecker identities give the solution without
-    forming the N*L-long vectors:
+    order in the offset. The caller hands over what its fit at nu already
+    holds: the residual R = Y - Phi a(nu) x^T, the projected gradient
+    v_g = Phi g(nu) and the waveform x. Two Kronecker identities then give
+    the solution without forming the N*L-long vectors:
 
         ||x kron v_g||^2 = ||x||^2 ||v_g||^2,
         (x kron v_g)^H vec(R) = v_g^H R conj(x),
 
     so delta = Re(v_g^H R conj(x)) / (||x||^2 ||v_g||^2).
     """
-    phi_mat = np.asarray(phi, dtype=complex)
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    x = np.asarray(x, dtype=complex)
-    a = steering_vector(nu_ring, phi_mat.shape[1])
-    va = phi_mat @ a
-    vg = phi_mat @ (1j * np.arange(a.size) * a)
     denom = np.vdot(x, x).real * np.vdot(vg, vg).real
     if denom == 0:
         raise ValueError("x kron Phi g(nu) is zero; delta is unidentifiable")
-    resid = y - va[:, None] * x
     return float(np.vdot(vg, resid @ x.conj()).real / denom)
 
 
@@ -207,19 +193,23 @@ def refine_single(
     ties are accepted. Returns (nu_hat, x_hat, history) where history is
     the non-increasing sequence of accepted residual values, starting with
     the residual of (nu0, x0).
+
+    The pass carries the fit (a, x, R, eps) of the accepted iterate, so
+    each attempted step forms Phi a(nu) once, in the refit of its new
+    frequency; the step itself reads R and the gradient i k a_k of a.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
+    ramp = 1j * np.arange(phi_mat.shape[1])
     nu = float(nu0)
-    x = np.asarray(x0, dtype=complex)
-    eps = _residual(y, _response(phi_mat, nu), x)
+    a, x, r, eps = _fit(y, phi_mat, nu, np.asarray(x0, dtype=complex))
     history = [eps]
     for _ in range(cfg.i_max):
-        nu_new = nu + delta_step(y, phi_mat, nu, x)
-        x_new, eps_new = _refit(y, phi_mat, nu_new)
-        if eps_new > eps:
+        nu_new = nu + delta_step(r, phi_mat @ (ramp * a), x)
+        fit = _fit(y, phi_mat, nu_new)
+        if fit[3] > eps:
             break
-        nu, x, eps = nu_new, x_new, eps_new
+        nu, (a, x, r, eps) = nu_new, fit
         history.append(eps)
     return nu, x, np.array(history)
 
@@ -271,12 +261,11 @@ def refine_multi(
                 y_k = y - v[:, others] @ w[others]
             nu[k], x[k], hist = refine_single(y_k, phi_mat, nu[k], x[k], cfg)
             if v is not None:
-                v[:, k] = _response(phi_mat, nu[k])
+                v[:, k] = phi_mat @ steering_vector(nu[k], phi_mat.shape[1])
             histories.append(hist)
     return EstimationResult(
         nu_hat=nu,
         X_hat=x,
-        residual_history=np.concatenate(histories),
         histories=tuple(histories),
         initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices, dtype=int),
     )

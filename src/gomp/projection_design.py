@@ -26,6 +26,9 @@ from .array_model import Dictionary
 
 _CM_TOL = 1e-9
 
+# shrinkage relaxations alpha that design_with_alpha_sweep tries by default
+DEFAULT_ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
+
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
@@ -120,9 +123,7 @@ def mutual_coherence(psi) -> float:
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for a zero column")
-    gram = np.abs(mat.conj().T @ mat) / np.outer(norms, norms)
-    np.fill_diagonal(gram, 0.0)
-    return float(min(gram.max(), 1.0))
+    return _coherence(_unit_gram_error(mat.conj().T @ mat, 1.0 / norms))
 
 
 def welch_bound(n: int, p: int) -> float:
@@ -154,6 +155,12 @@ def _unit_gram_error(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     e = s * np.outer(d, d)
     e.flat[:: d.size + 1] -= 1.0
     return e
+
+
+def _coherence(e: np.ndarray) -> float:
+    """Mutual coherence max |E_ij| read off a normalized Gram error E, whose
+    diagonal is zero up to rounding; capped at 1."""
+    return float(min(np.max(np.abs(e)), 1.0))
 
 
 def _columns(phi: np.ndarray, a: np.ndarray):
@@ -335,7 +342,7 @@ def design(
             base = min(step * 2.0, 1e9) if halvings == 0 else step
             steps.append(step)
         q, d, s, e = _gram_state(phi, a)
-        mus.append(float(min(np.max(np.abs(e)), 1.0)))
+        mus.append(_coherence(e))
         etas.append(_frame_eta(q, d))
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
@@ -353,7 +360,7 @@ def design_with_alpha_sweep(
     dictionary: Dictionary,
     cfg: DesignConfig,
     phi0: ProjectionMatrix,
-    alphas: tuple = (1.0, 1.5, 2.0, 3.0, 5.0),
+    alphas: tuple = DEFAULT_ALPHAS,
     embed_unit_norm: bool = True,
 ) -> DesignTrace:
     """Run the designer for each shrinkage relaxation candidate and keep the

@@ -154,13 +154,21 @@ def test_ls_signal_residual_orthogonality():
 
 # --------------------------------------------------------------- delta_step
 
+def _step(y, phi, nu, x):
+    """delta_step at (nu, x), handed the residual Y - Phi a(nu) x^T and the
+    projected steering gradient Phi g(nu)."""
+    m = phi.shape[1]
+    resid = y - np.outer(phi @ steering_vector(nu, m), x)
+    return delta_step(resid, phi @ steering_gradient(nu, m), x)
+
+
 def test_delta_zero_at_exact_frequency():
     rng = np.random.default_rng(26)
     phi = random_cm_projection(8, 32, seed=5).phi
     nu = 2.1
     x = _cn(rng, 12)
     y = np.outer(phi @ steering_vector(nu, 32), x)
-    assert abs(delta_step(y, phi, nu, x)) < 1e-10
+    assert abs(_step(y, phi, nu, x)) < 1e-10
 
 
 def test_delta_first_order_accuracy():
@@ -171,7 +179,7 @@ def test_delta_first_order_accuracy():
     x = _cn(rng, 16)
     for d_true, tol in [(1e-3, 1e-5), (1e-4, 1e-7)]:
         y = np.outer(phi @ steering_vector(nu_ring + d_true, 64), x)
-        d_hat = delta_step(y, phi, nu_ring, x)
+        d_hat = _step(y, phi, nu_ring, x)
         assert abs(d_hat - d_true) <= tol, f"d_true={d_true}: d_hat={d_hat}"
 
 
@@ -183,7 +191,7 @@ def test_delta_quadratic_error_ratio_bounded():
     ratios = []
     for d_true in (1e-4, 1e-3, 1e-2):
         y = np.outer(phi @ steering_vector(nu_ring + d_true, 64), x)
-        ratios.append(abs(delta_step(y, phi, nu_ring, x) - d_true) / d_true**2)
+        ratios.append(abs(_step(y, phi, nu_ring, x) - d_true) / d_true**2)
     print(f"\n  error/delta^2 ratios: {ratios}")
     assert max(ratios) < 50.0
 
@@ -193,7 +201,7 @@ def test_delta_sign():
     phi = random_cm_projection(16, 64, seed=8).phi
     x = _cn(rng, 16)
     y = np.outer(phi @ steering_vector(1.5 - 1e-3, 64), x)
-    assert delta_step(y, phi, 1.5, x) < 0
+    assert _step(y, phi, 1.5, x) < 0
 
 
 def test_delta_matches_kron_reference():
@@ -211,13 +219,13 @@ def test_delta_matches_kron_reference():
         va = phi @ steering_vector(nu, m)
         kg = np.kron(x, phi @ steering_gradient(nu, m))
         ref = np.real(kg.conj() @ (y.reshape(-1, order="F") - np.kron(x, va))) / np.real(kg.conj() @ kg)
-        assert abs(delta_step(y, phi, nu, x) - ref) <= 1e-12 * abs(ref), f"trial {trial}"
+        assert abs(_step(y, phi, nu, x) - ref) <= 1e-12 * abs(ref), f"trial {trial}"
 
 
 def test_delta_rejects_zero_waveform():
     phi = random_cm_projection(4, 8, seed=9).phi
     with pytest.raises(ValueError):
-        delta_step(np.ones((4, 3)), phi, 0.5, np.zeros(3))
+        _step(np.ones((4, 3)), phi, 0.5, np.zeros(3))
 
 
 # ------------------------------------------------------------ residual_cost
@@ -325,7 +333,7 @@ def test_refine_single_equals_public_kernel_loop():
         eps = residual_cost(y, phi, nu, x)
         ref = [eps]
         for _ in range(cfg.i_max):
-            nu_new = nu + delta_step(y, phi, nu, x)
+            nu_new = nu + _step(y, phi, nu, x)
             x_new = ls_signal(y, phi, nu_new)
             eps_new = residual_cost(y, phi, nu_new, x_new)
             if eps_new > eps:
@@ -334,6 +342,34 @@ def test_refine_single_equals_public_kernel_loop():
             ref.append(eps)
         assert nu_hat == nu, f"trial {trial}"
         assert np.array_equal(x_hat, x) and np.array_equal(hist, ref), f"trial {trial}"
+
+
+def test_refine_single_forms_each_iterate_once(monkeypatch):
+    """One steering evaluation per iterate: the start, then one per
+    attempted step, since the step reuses the accepted iterate's fit."""
+    import gomp.estimator as est
+
+    calls = {"steering": 0, "steps": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(est, "steering_vector", counted(est.steering_vector, "steering"))
+    monkeypatch.setattr(est, "delta_step", counted(est.delta_step, "steps"))
+    rng = np.random.default_rng(45)
+    for trial in range(10):
+        phi = random_cm_projection(8, 32, seed=200 + trial).phi
+        nu_true = float(rng.uniform(0, 2 * np.pi))
+        y = np.outer(phi @ steering_vector(nu_true, 32), _cn(rng, 6)) + 0.3 * _cn(rng, 8, 6)
+        nu0 = nu_true + float(rng.uniform(-0.1, 0.1))
+        x0 = ls_signal(y, phi, nu0)
+        calls.update(steering=0, steps=0)
+        refine_single(y, phi, nu0, x0, GompConfig(i_max=6, j_max=1))
+        assert calls["steps"] >= 1
+        assert calls["steering"] == 1 + calls["steps"], f"trial {trial}: {calls}"
 
 
 # ------------------------------------------------------------- refine_multi
@@ -410,7 +446,6 @@ def test_refine_multi_histories_each_nonincreasing():
     assert len(result.histories) == 9
     for hist in result.histories:
         assert np.all(np.diff(hist) <= 0)
-    assert result.residual_history.size == sum(h.size for h in result.histories)
 
 
 # ---------------------------------------------------------------- estimate
@@ -460,7 +495,7 @@ def test_estimate_pure_noise_does_not_crash():
     y = _cn(rng, 16, 8)
     result = estimate(y, phi, d, 1, GompConfig(i_max=10, j_max=2))
     assert np.all(np.isfinite(result.nu_hat))
-    assert np.all(np.isfinite(result.residual_history))
+    assert all(np.all(np.isfinite(h)) for h in result.histories)
 
 
 def test_estimate_requires_k_at_most_n():
