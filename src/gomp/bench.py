@@ -366,10 +366,13 @@ def read_measurements_csv(path) -> np.ndarray:
         raise OSError(f"cannot read measurements from {path}: {exc}") from exc
     if not lines:
         raise ValueError(f"{path}: empty measurement file")
-    head = lines[0][1].split(",")
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'N,L', got {lines[0][1]!r}")
-    n, l = int(head[0]), int(head[1])
+    no, header = lines[0]
+    try:
+        n, l = (int(tok) for tok in header.split(","))
+    except ValueError:
+        n = l = 0
+    if n < 1 or l < 1:
+        raise ValueError(f"{path}: line {no}: header must be 'N,L' with positive integers, got {header!r}")
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
     y = np.empty((n, l), dtype=complex)

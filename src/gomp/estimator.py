@@ -4,12 +4,18 @@ A simultaneous (multi-snapshot) OMP stage selects on-grid starting
 frequencies, and a first-order Taylor refinement then walks each frequency
 off the grid: linearize the steering vector around the current estimate,
 solve a small least-squares problem for the real step delta, move, refit
-the waveform, and keep the update only if the squared residual does not
-grow. The accepted-residual history is therefore non-increasing by
-construction. For several sources the refinement cycles over them, each
-time subtracting the contributions of all other sources with their
-waveforms taken from the joint least-squares fit of all sources at the
-current frequencies.
+the waveform, and keep the update only if the squared residual strictly
+falls. The step is taken in variable-projection form (Golub & Pereyra
+1973; Kaufman 1975): delta is solved jointly with a waveform correction,
+which amounts to projecting the steering gradient off the current
+response, so a single source converges in a few steps rather than at the
+linear rate of the frozen-waveform step. The accepted-residual history is
+strictly decreasing by construction, and a pass ends at its first step
+that does not lower the residual. For several sources the refinement
+cycles over them, each time subtracting the contributions of all other
+sources with their waveforms taken from the joint least-squares fit of
+all sources at the current frequencies, and stops after a pass in which
+no source moved.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ class EstimationResult:
     """Estimated frequencies and waveforms plus refinement diagnostics.
 
     histories holds, in execution order, the accepted squared-residual
-    values of every single-source refinement pass, one non-increasing
-    array per pass.
+    values of every single-source refinement pass, one strictly
+    decreasing array per pass.
     """
 
     nu_hat: np.ndarray
@@ -60,6 +66,13 @@ class EstimationResult:
         x.setflags(write=False)
         object.__setattr__(self, "nu_hat", nu)
         object.__setattr__(self, "X_hat", x)
+
+    @property
+    def converged(self) -> bool:
+        """True if the refinement stopped by itself rather than at j_max:
+        its last outer pass (the last K histories) accepted no step."""
+        k = self.nu_hat.size
+        return len(self.histories) >= k and all(len(h) == 1 for h in self.histories[-k:])
 
 
 def _solve_pinv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,12 +143,12 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fit(
     y: np.ndarray, phi_mat: np.ndarray, nu: float, x: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """The single-source fit at nu, all from one response v = Phi a(nu).
 
-    Returns (a, x, R, eps): the steering vector a(nu), the waveform x (the
-    least-squares fit v^H Y / ||v||^2 unless x is given), the residual
-    R = Y - v x^T and eps = ||R||_F^2.
+    Returns (a, v, x, R, eps): the steering vector a(nu), the response v,
+    the waveform x (the least-squares fit v^H Y / ||v||^2 unless x is
+    given), the residual R = Y - v x^T and eps = ||R||_F^2.
     """
     a = steering_vector(nu, phi_mat.shape[1])
     v = phi_mat @ a
@@ -146,39 +159,48 @@ def _fit(
             raise ValueError("Phi a(nu) is zero; waveform is unidentifiable")
         x = (vc @ y) / denom
     r = y - v[:, None] * x
-    return a, x, r, float(np.linalg.norm(r) ** 2)
+    return a, v, x, r, float(np.linalg.norm(r) ** 2)
 
 
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
     """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
-    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), nu)[1]
+    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), nu)[2]
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    return _fit(y, np.asarray(phi, dtype=complex), nu, np.asarray(x, dtype=complex))[3]
+    return _fit(y, np.asarray(phi, dtype=complex), nu, np.asarray(x, dtype=complex))[4]
 
 
 def delta_step(resid: np.ndarray, vg: np.ndarray, x: np.ndarray) -> float:
     """Real frequency correction from the linearized steering model.
 
     This is the vectorized least-squares problem of the paper: with Y
-    vectorized column-major, solve y ~ (x kron Phi a(nu)) + (x kron Phi g(nu))
-    delta for real delta, where g is the steering gradient. Exact to first
-    order in the offset. The caller hands over what its fit at nu already
-    holds: the residual R = Y - Phi a(nu) x^T, the projected gradient
-    v_g = Phi g(nu) and the waveform x. Two Kronecker identities then give
-    the solution without forming the N*L-long vectors:
+    vectorized column-major, solve y ~ (x kron Phi a(nu)) + (x kron v_g)
+    delta for real delta, where v_g = Phi g(nu) and g is the steering
+    gradient. Exact to first order in the offset. The caller hands over
+    what its fit at nu already holds: the residual R = Y - Phi a(nu) x^T,
+    the gradient response v_g and the waveform x. Two Kronecker identities
+    then give the solution without forming the N*L-long vectors:
 
         ||x kron v_g||^2 = ||x||^2 ||v_g||^2,
         (x kron v_g)^H vec(R) = v_g^H R conj(x),
 
     so delta = Re(v_g^H R conj(x)) / (||x||^2 ||v_g||^2).
+
+    Handed the projected gradient P_perp v_g = v_g - v (v^H v_g) / ||v||^2
+    with v = Phi a(nu) instead, the same formula gives the
+    variable-projection step: the real delta of
+    min ||R - delta v_g x^T - v dx^T|| over delta and a waveform
+    correction dx, for any x, not only the least-squares fit.
     """
     denom = np.vdot(x, x).real * np.vdot(vg, vg).real
     if denom == 0:
-        raise ValueError("x kron Phi g(nu) is zero; delta is unidentifiable")
+        raise ValueError(
+            "x kron v_g is zero: the waveform or the (projected) gradient response is zero; "
+            "delta is unidentifiable"
+        )
     return float(np.vdot(vg, resid @ x.conj()).real / denom)
 
 
@@ -188,28 +210,32 @@ def refine_single(
     """One single-source refinement pass.
 
     Repeats delta step, frequency update, waveform refit for up to
-    cfg.i_max iterations. An update that strictly increases the squared
-    residual is rejected and ends the pass, returning the previous pair;
-    ties are accepted. Returns (nu_hat, x_hat, history) where history is
-    the non-increasing sequence of accepted residual values, starting with
-    the residual of (nu0, x0).
+    cfg.i_max iterations. An update is accepted only if it strictly lowers
+    the squared residual; the first one that does not (a tie included) is
+    rejected and ends the pass, returning the previous pair. Returns
+    (nu_hat, x_hat, history) where history is the strictly decreasing
+    sequence of accepted residual values, starting with the residual of
+    (nu0, x0).
 
-    The pass carries the fit (a, x, R, eps) of the accepted iterate, so
-    each attempted step forms Phi a(nu) once, in the refit of its new
-    frequency; the step itself reads R and the gradient i k a_k of a.
+    Each step is the variable-projection step: delta_step is handed the
+    gradient response projected off v = Phi a(nu). The pass carries the
+    fit (a, v, x, R, eps) of the accepted iterate, so each attempted step
+    forms Phi a(nu) once, in the refit of its new frequency; the step
+    itself reads R, v and the gradient i k a_k of a.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     ramp = 1j * np.arange(phi_mat.shape[1])
     nu = float(nu0)
-    a, x, r, eps = _fit(y, phi_mat, nu, np.asarray(x0, dtype=complex))
+    a, v, x, r, eps = _fit(y, phi_mat, nu, np.asarray(x0, dtype=complex))
     history = [eps]
     for _ in range(cfg.i_max):
-        nu_new = nu + delta_step(r, phi_mat @ (ramp * a), x)
+        vg = phi_mat @ (ramp * a)
+        nu_new = nu + delta_step(r, vg - v * (np.vdot(v, vg) / np.vdot(v, v).real), x)
         fit = _fit(y, phi_mat, nu_new)
-        if fit[3] > eps:
+        if not fit[4] < eps:
             break
-        nu, (a, x, r, eps) = nu_new, fit
+        nu, (a, v, x, r, eps) = nu_new, fit
         history.append(eps)
     return nu, x, np.array(history)
 
@@ -231,9 +257,12 @@ def refine_multi(
     (already updated this pass for indices below k, last pass's for
     indices above k), as in OMP's orthogonal refit; with the frequencies
     fixed, this is the separable least-squares solution. Source k's own
-    refinement warm-starts from its previous (nu_k, x_k). All passes run
-    to completion; only the inner single-source refinements may stop
-    early. With K=1 there are no other sources, and the result equals
+    refinement warm-starts from its previous (nu_k, x_k). The loop stops
+    after a pass in which no source accepted a step: such a pass leaves
+    nu, X and V untouched, so every later pass would repeat it exactly.
+    The estimate is therefore the one cfg.j_max passes give; only
+    histories is shorter, and EstimationResult.converged reports the
+    stop. With K=1 there are no other sources, and the result equals
     cfg.j_max repeated refine_single passes.
 
     Raises
@@ -253,6 +282,7 @@ def refine_multi(
     v = phi_mat @ steering_matrix(nu, phi_mat.shape[1]) if k_total > 1 else None
     histories: list[np.ndarray] = []
     for _ in range(cfg.j_max):
+        moved = False
         for k in range(k_total):
             y_k = y
             if v is not None:
@@ -263,6 +293,9 @@ def refine_multi(
             if v is not None:
                 v[:, k] = phi_mat @ steering_vector(nu[k], phi_mat.shape[1])
             histories.append(hist)
+            moved = moved or hist.size > 1
+        if not moved:
+            break
     return EstimationResult(
         nu_hat=nu,
         X_hat=x,

@@ -198,10 +198,10 @@ def test_criterion_4_refinement_monotonicity():
 
 def test_criterion_5_offgrid_refinement_accuracy():
     """Half-cell offsets from the P=64 grid refine to |err| <= 1e-6 in
-    100/100 trials with i_max=10 per pass. A single pass contracts the
-    offset only linearly (ratio cos^2 of the steering/gradient angle, about
-    0.75 for constant-modulus projections), so the criterion is exercised
-    through the estimator's standard warm-started multi-pass operation."""
+    100/100 trials with i_max=10 per pass. The variable-projection step
+    converges within a single pass here; the criterion is exercised
+    through the estimator's standard warm-started multi-pass operation,
+    which stops after the first pass that accepts no step."""
     start = time.monotonic()
     phi, d, _ = _designed(16, 64, 64)
     half = np.pi / 64

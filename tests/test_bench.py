@@ -302,6 +302,14 @@ def test_measurements_csv_trailing_i_and_non_finite(tmp_path):
         read_measurements_csv(path)
 
 
+def test_measurements_csv_rejects_bad_header(tmp_path):
+    path = tmp_path / "y.csv"
+    for header in ("x,2", "2.5,2", "-1,2", "0,2", "2,0", "2,2,2"):
+        path.write_text(f"{header}\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match=f"y.csv: line 1: header must be 'N,L' with positive integers, got '{header}'"):
+            read_measurements_csv(path)
+
+
 # -------------------------------------------------------------- experiments
 
 def test_build_projection_kinds():

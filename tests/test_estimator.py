@@ -301,7 +301,8 @@ def test_refine_history_nonincreasing_random_instances():
 
 
 def test_refine_single_pass_reduces_halfcell_offset():
-    """One pass contracts the offset; full convergence needs several passes."""
+    """One pass contracts the offset to under a quarter cell (in fact the
+    variable-projection step converges within the pass)."""
     phi, d = _designed_phi(16, 64, 64)
     half = np.pi / 64
     rng = np.random.default_rng(33)
@@ -333,10 +334,13 @@ def test_refine_single_equals_public_kernel_loop():
         eps = residual_cost(y, phi, nu, x)
         ref = [eps]
         for _ in range(cfg.i_max):
-            nu_new = nu + _step(y, phi, nu, x)
+            v = phi @ steering_vector(nu, m)
+            vg = phi @ steering_gradient(nu, m)
+            resid = y - np.outer(v, x)
+            nu_new = nu + delta_step(resid, vg - v * (np.vdot(v, vg) / np.vdot(v, v).real), x)
             x_new = ls_signal(y, phi, nu_new)
             eps_new = residual_cost(y, phi, nu_new, x_new)
-            if eps_new > eps:
+            if eps_new >= eps:
                 break
             nu, x, eps = nu_new, x_new, eps_new
             ref.append(eps)
@@ -370,6 +374,59 @@ def test_refine_single_forms_each_iterate_once(monkeypatch):
         refine_single(y, phi, nu0, x0, GompConfig(i_max=6, j_max=1))
         assert calls["steps"] >= 1
         assert calls["steering"] == 1 + calls["steps"], f"trial {trial}: {calls}"
+
+
+def test_refine_single_step_is_variable_projection_step(monkeypatch):
+    """The step refine_single takes is the real delta of the dense least
+    squares min ||R - delta Phi g(nu) x^T - Phi a(nu) dx^T|| over
+    (delta, Re dx, Im dx), built with kron; also for a warm-start x that
+    is not the least-squares fit."""
+    import gomp.estimator as est
+
+    steps = []
+
+    def recorded(*args):
+        steps.append(delta_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(est, "delta_step", recorded)
+    rng = np.random.default_rng(48)
+    for trial in range(50):
+        m = int(rng.integers(4, 33))
+        n = int(rng.integers(2, m + 1))
+        l = int(rng.integers(1, 10))
+        phi = random_cm_projection(n, m, seed=300 + trial).phi
+        nu_true = float(rng.uniform(0, 2 * np.pi))
+        y = np.outer(phi @ steering_vector(nu_true, m), _cn(rng, l)) + 0.2 * _cn(rng, n, l)
+        nu = nu_true + float(rng.uniform(-0.1, 0.1))
+        x = ls_signal(y, phi, nu)
+        if trial % 2:
+            x = x * (1 + 0.3 * _cn(rng, l)) + 0.1 * _cn(rng, l)
+        steps.clear()
+        refine_single(y, phi, nu, x, GompConfig(i_max=1, j_max=1))
+        v = phi @ steering_vector(nu, m)
+        kg = np.kron(x, phi @ steering_gradient(nu, m))
+        kv = np.kron(np.eye(l), v[:, None])
+        dense = np.block([[kg.real[:, None], kv.real, -kv.imag], [kg.imag[:, None], kv.imag, kv.real]])
+        r = (y - np.outer(v, x)).reshape(-1, order="F")
+        ref = np.linalg.lstsq(dense, np.concatenate([r.real, r.imag]), rcond=None)[0][0]
+        assert len(steps) == 1
+        assert abs(steps[0] - ref) <= 1e-10 * abs(ref), f"trial {trial}: {steps[0]} vs {ref}"
+
+
+def test_refine_single_pass_converges_from_halfcell_offset():
+    """Noiseless half-cell offset on the designed 16x64x64 projection: one
+    pass of at most 10 steps lands within 1e-6 of the true frequency."""
+    phi, d = _designed_phi(16, 64, 64)
+    half = np.pi / 64
+    rng = np.random.default_rng(46)
+    for trial in range(10):
+        p = int(rng.integers(0, 64))
+        nu_true = d.grid[p] + half
+        y = np.outer(phi.phi @ steering_vector(nu_true, 64), _cn(rng, 16))
+        x0 = ls_signal(y, phi.phi, d.grid[p])
+        nu_hat, _, _ = refine_single(y, phi.phi, d.grid[p], x0, GompConfig(i_max=10, j_max=1))
+        assert abs(nu_hat - nu_true) <= 1e-6, f"trial {trial}: error {abs(nu_hat - nu_true):.3e}"
 
 
 # ------------------------------------------------------------- refine_multi
@@ -446,6 +503,45 @@ def test_refine_multi_histories_each_nonincreasing():
     assert len(result.histories) == 9
     for hist in result.histories:
         assert np.all(np.diff(hist) <= 0)
+
+
+def test_refine_multi_early_exit_is_exact():
+    """A pass in which no source moves ends the refinement, and stopping
+    there changes nothing: K=1 at j_max=5 and K=2 at the last pass that
+    moved give nu_hat and X_hat bitwise equal to j_max=40, whose histories
+    are shorter than K*40."""
+    phi = random_cm_projection(64, 64, seed=13).phi
+    rng = np.random.default_rng(49)
+    for k in (1, 2):
+        for trial in range(4):
+            nu1 = float(rng.uniform(0, np.pi))
+            nu_true = np.array([nu1, nu1 + np.pi + float(rng.uniform(-0.3, 0.3))])[:k]
+            y = phi @ (steering_matrix(nu_true, 64) @ _cn(rng, k, 16)) + 0.1 * _cn(rng, 64, 16)
+            nu0 = nu_true + rng.uniform(-0.5, 0.5, k) * 2 * np.pi / 64
+            x0 = np.vstack([ls_signal(y, phi, nu) for nu in nu0])
+            full = refine_multi(y, phi, nu0, x0, GompConfig(i_max=10, j_max=40))
+            passes = len(full.histories) // k
+            assert len(full.histories) < k * 40 and full.converged, f"K={k}, trial {trial}"
+            for j_max in {5 if k == 1 else passes - 1, passes}:
+                cut = refine_multi(y, phi, nu0, x0, GompConfig(i_max=10, j_max=j_max))
+                assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, j_max={j_max}"
+                assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, j_max={j_max}"
+                assert cut.converged == (j_max >= passes)
+
+
+def test_estimation_result_converged_reads_last_pass():
+    """converged is true only when each of the last K histories holds one
+    entry, i.e. the last pass accepted no step."""
+    phi = random_cm_projection(8, 32, seed=14).phi
+    rng = np.random.default_rng(50)
+    y = np.outer(phi @ steering_vector(1.2, 32), _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
+    x0 = ls_signal(y, phi, 1.25)[None, :]
+    assert not refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=1)).converged
+    assert refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=40)).converged
+    one = np.array([1.0])
+    assert EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(np.array([2.0, 1.0]), one, one)).converged
+    assert not EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(one, np.array([2.0, 1.0]))).converged
+    assert not EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(one,)).converged
 
 
 # ---------------------------------------------------------------- estimate
