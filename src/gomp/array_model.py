@@ -111,7 +111,7 @@ class SourceScene:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Steering dictionary over a uniform frequency grid.
 

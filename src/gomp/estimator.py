@@ -1,37 +1,35 @@
 """Off-grid frequency estimation.
 
 A simultaneous (multi-snapshot) OMP stage selects on-grid starting
-frequencies, and a first-order Taylor refinement then walks each frequency
-off the grid: linearize the steering vector around the current estimate,
-solve a small least-squares problem for the real step delta, move, refit
-the waveform, and keep the update only if the squared residual strictly
+frequencies, and a first-order Taylor refinement then walks all K
+frequencies off the grid jointly: linearize the steering matrix, solve a
+small real least-squares problem for the steps delta, move, refit the
+waveforms, and keep the update only if the squared residual strictly
 falls. The step is taken in variable-projection form (Golub & Pereyra
-1973; Kaufman 1975): delta is solved jointly with a waveform correction,
-which amounts to projecting the steering gradient off the current
-response, so a single source converges in a few steps rather than at the
-linear rate of the frozen-waveform step. The accepted-residual history is
-strictly decreasing by construction, and a pass ends at its first step
-that does not lower the residual. For several sources the refinement
-cycles over them, each time subtracting the contributions of all other
-sources with their waveforms taken from the joint least-squares fit of
-all sources at the current frequencies, and stops after a pass in which
-no source moved.
+1973; Kaufman 1975), jointly with a waveform correction, so the
+refinement is Gauss-Newton on the separable least-squares problem and
+converges in a few steps; the paper's frozen-waveform Taylor step is its
+special case. It ends at its first step that does not lower the residual
+or when the step budget is spent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_model import Dictionary, steering_matrix, steering_vector
+from .array_model import Dictionary, steering_matrix
+from .projection_design import ProjectionMatrix
 
 _PINV_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GompConfig:
-    """Refinement budgets: i_max inner steps per pass, j_max outer passes."""
+    """Refinement budgets: refine_single takes at most i_max steps,
+    refine_multi (and so estimate) at most i_max * j_max joint steps."""
 
     i_max: int = 10
     j_max: int = 5
@@ -47,14 +45,16 @@ class GompConfig:
 class EstimationResult:
     """Estimated frequencies and waveforms plus refinement diagnostics.
 
-    histories holds, in execution order, the accepted squared-residual
-    values of every single-source refinement pass, one strictly
-    decreasing array per pass.
+    histories holds one array, the strictly decreasing accepted squared
+    residuals of the refinement from its start point; stop_reason is
+    "stalled" (a step no longer lowered the residual) or "max_steps" (the
+    step budget ran out).
     """
 
     nu_hat: np.ndarray
     X_hat: np.ndarray
     histories: tuple
+    stop_reason: str
     initial_grid_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -62,31 +62,43 @@ class EstimationResult:
         x = np.atleast_2d(np.asarray(self.X_hat, dtype=complex))
         if not np.all(np.isfinite(nu)):
             raise ValueError("estimated frequencies must be finite")
+        if self.stop_reason not in ("stalled", "max_steps"):
+            raise ValueError(f"stop_reason must be 'stalled' or 'max_steps', got {self.stop_reason!r}")
         nu.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "nu_hat", nu)
         object.__setattr__(self, "X_hat", x)
 
     @property
+    def n_iter(self) -> int:
+        """Number of accepted refinement steps."""
+        return len(self.histories[0]) - 1
+
+    @property
     def converged(self) -> bool:
-        """True if the refinement stopped by itself rather than at j_max:
-        its last outer pass (the last K histories) accepted no step."""
-        k = self.nu_hat.size
-        return len(self.histories) >= k and all(len(h) == 1 for h in self.histories[-k:])
+        """True if the refinement stopped by itself rather than at its budget."""
+        return self.stop_reason == "stalled"
 
 
-def _solve_pinv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solve a^+ b via SVD, reporting rank deficiency.
 
+    Returns (u, a^+ b) with u an orthonormal basis of the range of a.
     Singular values below _PINV_RTOL times the largest are treated as a
-    rank deficiency and raised, never silently truncated.
+    rank deficiency and raised, never silently truncated. One column's SVD
+    (a / ||a||, ||a||, 1) is taken in closed form, without LAPACK's call
+    overhead; a zero column is divided by 1 and raised by the rank check.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if a.shape[1] == 1:
+        s = np.array([np.sqrt(np.vdot(a, a).real)])
+        u, vh = a / (s[0] or 1.0), np.ones((1, 1))
+    else:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0 or s[-1] <= _PINV_RTOL * s[0]:
         raise np.linalg.LinAlgError(
             f"rank-deficient least-squares system (singular values {s.min():.3e}..{s.max():.3e})"
         )
-    return vh.conj().T @ ((u.conj().T @ b) / s[:, None])
+    return u, vh.conj().T @ ((u.conj().T @ b) / s[:, None])
 
 
 def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,108 +148,91 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
         scores = np.linalg.norm(mat.conj().T @ residual, axis=1) / col_norms
         scores[chosen] = -1.0
         chosen.append(int(np.argmax(scores)))
-        coeffs = _solve_pinv(mat[:, chosen], y)
+        coeffs = _solve_pinv(mat[:, chosen], y)[1]
         residual = y - mat[:, chosen] @ coeffs
     return np.array(chosen), coeffs
 
 
 def _fit(
-    y: np.ndarray, phi_mat: np.ndarray, nu: float, x: np.ndarray | None = None
+    y: np.ndarray, phi_mat: np.ndarray, nu, x: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The single-source fit at nu, all from one response v = Phi a(nu).
+    """The joint fit at the K frequencies nu, from one SVD of V = Phi A(nu).
 
-    Returns (a, v, x, R, eps): the steering vector a(nu), the response v,
-    the waveform x (the least-squares fit v^H Y / ||v||^2 unless x is
-    given), the residual R = Y - v x^T and eps = ||R||_F^2.
+    Returns (A, W, X, R, eps): A(nu), an orthonormal basis W of range(V),
+    the waveforms X (the least-squares fit unless given), R = Y - V X and
+    eps = ||R||_F^2. V X is a broadcast sum, bitwise the outer product
+    v x^T for K=1, so an exact model leaves a zero residual. Raises
+    numpy.linalg.LinAlgError, by _solve_pinv's rule, if V is rank-deficient.
     """
-    a = steering_vector(nu, phi_mat.shape[1])
+    a = steering_matrix(nu, phi_mat.shape[1])
     v = phi_mat @ a
-    if x is None:
-        vc = v.conj()
-        denom = np.real(vc @ v)
-        if denom == 0:
-            raise ValueError("Phi a(nu) is zero; waveform is unidentifiable")
-        x = (vc @ y) / denom
-    r = y - v[:, None] * x
-    return a, v, x, r, float(np.linalg.norm(r) ** 2)
+    w, x_ls = _solve_pinv(v, y)
+    x = x_ls if x is None else x
+    r = y - (v[:, :, None] * x).sum(axis=1)
+    return a, w, x, r, float(np.vdot(r, r).real)
 
 
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
     """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
-    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), nu)[2]
+    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), [nu])[2][0]
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    return _fit(y, np.asarray(phi, dtype=complex), nu, np.asarray(x, dtype=complex))[4]
+    return _fit(y, np.asarray(phi, dtype=complex), [nu], np.asarray(x, dtype=complex)[None, :])[4]
 
 
-def delta_step(resid: np.ndarray, vg: np.ndarray, x: np.ndarray) -> float:
-    """Real frequency correction from the linearized steering model.
+def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
+    """Real frequency corrections from the linearized steering model.
 
-    This is the vectorized least-squares problem of the paper: with Y
-    vectorized column-major, solve y ~ (x kron Phi a(nu)) + (x kron v_g)
-    delta for real delta, where v_g = Phi g(nu) and g is the steering
-    gradient. Exact to first order in the offset. The caller hands over
-    what its fit at nu already holds: the residual R = Y - Phi a(nu) x^T,
-    the gradient response v_g and the waveform x. Two Kronecker identities
-    then give the solution without forming the N*L-long vectors:
+    The vectorized least-squares problem of the paper for all K sources
+    at once: with Y vectorized column-major, solve
+    vec(R) ~ sum_k (x_k kron u_k) delta_k for real delta, where R is the
+    residual Y - Phi A(nu) X, x_k row k of X and u_k column k of U, the
+    gradient responses. By (x_j kron u_j)^H (x_k kron u_k) =
+    (u_j^H u_k)(x_j^H x_k) and (x_j kron u_j)^H vec(R) = u_j^H R conj(x_j),
+    the normal equations are M delta = b with
+    M = Re((U^H U) o (conj(X) X^T)) and b_j = Re(u_j^H R conj(x_j)),
+    formed without the N*L-long vectors.
 
-        ||x kron v_g||^2 = ||x||^2 ||v_g||^2,
-        (x kron v_g)^H vec(R) = v_g^H R conj(x),
+    Handed U = P_perp Phi G(nu), the steering gradients projected off the
+    range of V = Phi A(nu), this is the variable-projection (Kaufman)
+    step: the real delta of min ||R - sum_k delta_k u_k x_k^T - V dX||
+    over delta and dX, for any X, not only the least-squares fit.
 
-    so delta = Re(v_g^H R conj(x)) / (||x||^2 ||v_g||^2).
-
-    Handed the projected gradient P_perp v_g = v_g - v (v^H v_g) / ||v||^2
-    with v = Phi a(nu) instead, the same formula gives the
-    variable-projection step: the real delta of
-    min ||R - delta v_g x^T - v dx^T|| over delta and a waveform
-    correction dx, for any x, not only the least-squares fit.
+    1-D u (length N) and x (length L) give the single-source step as a
+    float; U (N, K) and X (K, L) give the K-vector. Raises ValueError,
+    naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2 is zero.
     """
-    denom = np.vdot(x, x).real * np.vdot(vg, vg).real
-    if denom == 0:
-        raise ValueError(
-            "x kron v_g is zero: the waveform or the (projected) gradient response is zero; "
-            "delta is unidentifiable"
-        )
-    return float(np.vdot(vg, resid @ x.conj()).real / denom)
+    single = np.ndim(u) == 1
+    u = u.reshape(u.shape[0], -1)
+    x = np.atleast_2d(x)
+    gram = ((u.conj().T @ u) * (x.conj() @ x.T)).real
+    diag = gram.diagonal()
+    if not diag.all():
+        raise ValueError(f"source {int(np.argmin(diag != 0))}: x kron u is zero: the waveform or the "
+                         "(projected) gradient response is zero; delta is unidentifiable")
+    b = (u.conj() * (resid @ x.conj().T)).sum(axis=0).real
+    # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
+    delta = b / diag if b.size == 1 else np.linalg.solve(gram, b)
+    return float(delta[0]) if single else delta
 
 
 def refine_single(
     y: np.ndarray, phi, nu0: float, x0: np.ndarray, cfg: GompConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """One single-source refinement pass.
+    """Single-source refinement: the K=1 call of refine_multi's kernel.
 
-    Repeats delta step, frequency update, waveform refit for up to
-    cfg.i_max iterations. An update is accepted only if it strictly lowers
-    the squared residual; the first one that does not (a tie included) is
-    rejected and ends the pass, returning the previous pair. Returns
-    (nu_hat, x_hat, history) where history is the strictly decreasing
-    sequence of accepted residual values, starting with the residual of
-    (nu0, x0).
-
-    Each step is the variable-projection step: delta_step is handed the
-    gradient response projected off v = Phi a(nu). The pass carries the
-    fit (a, v, x, R, eps) of the accepted iterate, so each attempted step
-    forms Phi a(nu) once, in the refit of its new frequency; the step
-    itself reads R, v and the gradient i k a_k of a.
+    Takes at most cfg.i_max variable-projection steps from (nu0, x0). An
+    update is accepted only if it strictly lowers the squared residual;
+    the first one that does not (a tie included) is rejected and ends the
+    refinement, returning the previous pair. Returns (nu_hat, x_hat,
+    history) where history is the strictly decreasing sequence of
+    accepted residual values, starting with the residual of (nu0, x0).
     """
-    phi_mat = np.asarray(phi, dtype=complex)
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    ramp = 1j * np.arange(phi_mat.shape[1])
-    nu = float(nu0)
-    a, v, x, r, eps = _fit(y, phi_mat, nu, np.asarray(x0, dtype=complex))
-    history = [eps]
-    for _ in range(cfg.i_max):
-        vg = phi_mat @ (ramp * a)
-        nu_new = nu + delta_step(r, vg - v * (np.vdot(v, vg) / np.vdot(v, v).real), x)
-        fit = _fit(y, phi_mat, nu_new)
-        if not fit[4] < eps:
-            break
-        nu, (a, v, x, r, eps) = nu_new, fit
-        history.append(eps)
-    return nu, x, np.array(history)
+    result = refine_multi(y, phi, [nu0], np.asarray(x0)[None, :], replace(cfg, j_max=1))
+    return float(result.nu_hat[0]), result.X_hat[0], result.histories[0]
 
 
 def refine_multi(
@@ -248,22 +243,20 @@ def refine_multi(
     cfg: GompConfig,
     grid_indices: np.ndarray | None = None,
 ) -> EstimationResult:
-    """Cyclic multi-source refinement.
+    """Joint refinement of all K frequencies by strict-descent
+    variable-projection Gauss-Newton.
 
-    Runs cfg.j_max outer passes. Within a pass, source k is refined by
-    refine_single against Y minus the contributions of all other sources,
-    Phi a(nu_j) w_j^T for j != k. The waveforms w are the joint
-    least-squares fit of all K sources to Y at their current frequencies
-    (already updated this pass for indices below k, last pass's for
-    indices above k), as in OMP's orthogonal refit; with the frequencies
-    fixed, this is the separable least-squares solution. Source k's own
-    refinement warm-starts from its previous (nu_k, x_k). The loop stops
-    after a pass in which no source accepted a step: such a pass leaves
-    nu, X and V untouched, so every later pass would repeat it exactly.
-    The estimate is therefore the one cfg.j_max passes give; only
-    histories is shorter, and EstimationResult.converged reports the
-    stop. With K=1 there are no other sources, and the result equals
-    cfg.j_max repeated refine_single passes.
+    Takes at most cfg.i_max * cfg.j_max steps from (nu0, X0). Each hands
+    delta_step the residual, the gradient responses projected off the
+    range of V = Phi A(nu) and the waveforms of the accepted fit (the
+    Kaufman Jacobian -P_perp Phi g(nu_k) x_k^T), then refits all waveforms
+    at the moved frequencies: one steering evaluation and one SVD per
+    attempted step. A step is accepted only if it strictly lowers the
+    squared residual; the first that does not (a tie included) ends the
+    refinement with stop_reason "stalled", a spent budget with
+    "max_steps". A stall is a fixed point, since every later step would
+    repeat the rejected one, so a larger budget gives the same estimate.
+    With K=1 the result equals cfg.j_max warm-started refine_single passes.
 
     Raises
     ------
@@ -275,42 +268,47 @@ def refine_multi(
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float)).copy()
     x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
-    k_total = nu.size
-    if x.shape[0] != k_total:
-        raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {k_total} entries")
-    # V = Phi A(nu); only column k changes during source k's turn
-    v = phi_mat @ steering_matrix(nu, phi_mat.shape[1]) if k_total > 1 else None
-    histories: list[np.ndarray] = []
-    for _ in range(cfg.j_max):
-        moved = False
-        for k in range(k_total):
-            y_k = y
-            if v is not None:
-                w = _solve_pinv(v, y)
-                others = np.arange(k_total) != k
-                y_k = y - v[:, others] @ w[others]
-            nu[k], x[k], hist = refine_single(y_k, phi_mat, nu[k], x[k], cfg)
-            if v is not None:
-                v[:, k] = phi_mat @ steering_vector(nu[k], phi_mat.shape[1])
-            histories.append(hist)
-            moved = moved or hist.size > 1
-        if not moved:
+    if x.shape[0] != nu.size:
+        raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
+    ramp = 1j * np.arange(phi_mat.shape[1])[:, None]
+    a, w, x, r, eps = _fit(y, phi_mat, nu, x)
+    history = [eps]
+    stop = "max_steps"
+    for _ in range(cfg.i_max * cfg.j_max):
+        vg = phi_mat @ (ramp * a)
+        nu_new = nu + delta_step(r, vg - w @ (w.conj().T @ vg), x)
+        fit = _fit(y, phi_mat, nu_new)
+        if not fit[4] < eps:
+            stop = "stalled"
             break
+        nu, (a, w, x, r, eps) = nu_new, fit
+        history.append(eps)
     return EstimationResult(
         nu_hat=nu,
         X_hat=x,
-        histories=tuple(histories),
+        histories=(np.array(history),),
+        stop_reason=stop,
         initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices, dtype=int),
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _sensing_matrix(phi: ProjectionMatrix, dictionary: Dictionary) -> np.ndarray:
+    """Read-only Psi = Phi A_ring, kept for the last (projection, dictionary)
+    pair by identity, so a sweep forms it once."""
+    psi = phi.phi @ dictionary.A_ring
+    psi.setflags(write=False)
+    return psi
+
+
 def estimate(y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig) -> EstimationResult:
-    """End-to-end estimation: OMP on-grid start, then cyclic refinement.
+    """End-to-end estimation: OMP on-grid start, then joint refinement.
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array; the
-    sensing matrix is formed internally from the dictionary.
+    sensing matrix is formed from the dictionary, once per
+    ProjectionMatrix and Dictionary pair.
     """
     phi_mat = np.asarray(phi, dtype=complex)
-    psi = phi_mat @ dictionary.A_ring
+    psi = _sensing_matrix(phi, dictionary) if isinstance(phi, ProjectionMatrix) else phi_mat @ dictionary.A_ring
     indices, x0 = omp(y, psi, k)
     return refine_multi(y, phi_mat, dictionary.grid[indices], x0, cfg, grid_indices=indices)

@@ -30,7 +30,7 @@ _CM_TOL = 1e-9
 DEFAULT_ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
     """N-by-M analog combiner with unit-modulus (phase-only) entries.
 

@@ -3,9 +3,10 @@
 OMP selection against a brute-force correlation oracle, least-squares
 waveform fits (normal-equations orthogonality), the linearized frequency
 step on synthetic off-grid data, acceptance-gated refinement monotonicity,
-and the multi-source cycling contracts.
+and the joint multi-source refinement contracts.
 """
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -139,6 +140,19 @@ def test_ls_signal_zero_measurements():
     assert np.all(ls_signal(np.zeros((8, 5)), phi, 0.7) == 0)
 
 
+def test_zero_response_raises_rank_deficiency_without_warning():
+    """Phi a(nu) = 0 is a rank-deficient fit: both K=1 wrappers raise
+    LinAlgError before any division, residual_cost also when x is given."""
+    phi = np.zeros((8, 32), dtype=complex)
+    y = np.ones((8, 5), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+            ls_signal(y, phi, 0.7)
+        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+            residual_cost(y, phi, 0.7, np.ones(5))
+
+
 def test_ls_signal_residual_orthogonality():
     """Normal equations: the residual is orthogonal to the regressor."""
     rng = np.random.default_rng(25)
@@ -220,6 +234,37 @@ def test_delta_matches_kron_reference():
         kg = np.kron(x, phi @ steering_gradient(nu, m))
         ref = np.real(kg.conj() @ (y.reshape(-1, order="F") - np.kron(x, va))) / np.real(kg.conj() @ kg)
         assert abs(_step(y, phi, nu, x) - ref) <= 1e-12 * abs(ref), f"trial {trial}"
+
+
+def test_delta_step_matches_dense_joint_least_squares():
+    """For K = 1..4 sources the joint step equals the real delta of the
+    dense least squares min ||R - sum_k delta_k Phi g(nu_k) x_k^T - V dX||
+    over (delta, Re dX, Im dX), built with kron, when handed the gradient
+    responses projected off the range of V = Phi A(nu); half of the
+    instances use a warm-start X that is not the least-squares fit."""
+    rng = np.random.default_rng(51)
+    for trial in range(50):
+        k = trial % 4 + 1
+        m = int(rng.integers(12, 33))
+        n = int(rng.integers(2 * k + 1, m + 1))
+        l = int(rng.integers(2, 10))
+        phi = random_cm_projection(n, m, seed=400 + trial).phi
+        nu = 2 * np.pi * (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k
+        v = phi @ steering_matrix(nu, m)
+        vg = np.column_stack([phi @ steering_gradient(f, m) for f in nu])
+        y = v @ _cn(rng, k, l) + 0.2 * _cn(rng, n, l)
+        x = np.linalg.lstsq(v, y, rcond=None)[0]
+        if trial % 2:
+            x = x * (1 + 0.3 * _cn(rng, k, l)) + 0.1 * _cn(rng, k, l)
+        resid = y - v @ x
+        got = delta_step(resid, vg - v @ np.linalg.lstsq(v, vg, rcond=None)[0], x)
+        kg = np.column_stack([np.kron(x[j], vg[:, j]) for j in range(k)])
+        kv = np.kron(np.eye(l), v)
+        dense = np.block([[kg.real, kv.real, -kv.imag], [kg.imag, kv.imag, kv.real]])
+        r = resid.reshape(-1, order="F")
+        ref = np.linalg.lstsq(dense, np.concatenate([r.real, r.imag]), rcond=None)[0][:k]
+        assert got.shape == (k,)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), f"trial {trial}: {got} vs {ref}"
 
 
 def test_delta_rejects_zero_waveform():
@@ -318,7 +363,8 @@ def test_refine_single_pass_reduces_halfcell_offset():
 
 def test_refine_single_equals_public_kernel_loop():
     """refine_single is bitwise the loop of delta_step, ls_signal and
-    residual_cost with the documented acceptance rule."""
+    residual_cost with the documented acceptance rule, the gradient
+    response projected off the unit vector along Phi a(nu)."""
     rng = np.random.default_rng(44)
     cfg = GompConfig(i_max=5, j_max=1)
     for trial in range(20):
@@ -335,9 +381,10 @@ def test_refine_single_equals_public_kernel_loop():
         ref = [eps]
         for _ in range(cfg.i_max):
             v = phi @ steering_vector(nu, m)
-            vg = phi @ steering_gradient(nu, m)
+            vg = phi @ steering_gradient(nu, m)[:, None]
+            w = v[:, None] / np.sqrt(np.vdot(v, v).real)
             resid = y - np.outer(v, x)
-            nu_new = nu + delta_step(resid, vg - v * (np.vdot(v, vg) / np.vdot(v, v).real), x)
+            nu_new = nu + delta_step(resid, (vg - w @ (w.conj().T @ vg))[:, 0], x)
             x_new = ls_signal(y, phi, nu_new)
             eps_new = residual_cost(y, phi, nu_new, x_new)
             if eps_new >= eps:
@@ -361,7 +408,7 @@ def test_refine_single_forms_each_iterate_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(est, "steering_vector", counted(est.steering_vector, "steering"))
+    monkeypatch.setattr(est, "steering_matrix", counted(est.steering_matrix, "steering"))
     monkeypatch.setattr(est, "delta_step", counted(est.delta_step, "steps"))
     rng = np.random.default_rng(45)
     for trial in range(10):
@@ -469,6 +516,31 @@ def test_refine_multi_two_sources_offgrid():
         assert np.max(errs) <= 1e-5, f"trial {trial}: errors {errs}"
 
 
+def test_refine_multi_two_sources_offgrid_in_one_pass_budget():
+    """The noiseless pairs of test_refine_multi_two_sources_offgrid reach
+    1e-9 within the budget of a single pass: the joint step does not
+    contract at the rate of the coupling between the sources."""
+    phi, d = _designed_phi(16, 32, 64)
+    rng = np.random.default_rng(35)
+    for trial in range(5):
+        p1 = int(rng.integers(0, 25))
+        p2 = p1 + int(rng.integers(12, 30))
+        nu_true = d.grid[[p1, p2]] + rng.uniform(-0.5, 0.5, 2) * d.spacing
+        x = _cn(rng, 2, 16)
+        y = phi.phi @ (steering_matrix(nu_true, 32) @ x)
+        x0 = np.vstack([ls_signal(y, phi.phi, d.grid[p1]), ls_signal(y, phi.phi, d.grid[p2])])
+        result = refine_multi(y, phi.phi, d.grid[[p1, p2]], x0, GompConfig(i_max=10, j_max=1))
+        errs = np.abs(np.sort(result.nu_hat) - np.sort(nu_true))
+        assert np.max(errs) <= 1e-9, f"trial {trial}: errors {errs}"
+
+
+def test_refine_multi_rejects_coincident_frequencies():
+    phi = random_cm_projection(8, 32, seed=15).phi
+    y = _cn(np.random.default_rng(52), 8, 4)
+    with pytest.raises(np.linalg.LinAlgError):
+        refine_multi(y, phi, [0.0, 1e-14], np.ones((2, 4)), GompConfig())
+
+
 def test_refine_multi_reduces_total_residual():
     """Refinement never ends above the on-grid initialization residual."""
     phi, d = _designed_phi(16, 64, 64)
@@ -500,16 +572,17 @@ def test_refine_multi_histories_each_nonincreasing():
     psi = phi.phi @ d.A_ring
     indices, x0 = omp(y, psi, 3)
     result = refine_multi(y, phi.phi, d.grid[indices], x0, GompConfig(i_max=6, j_max=3))
-    assert len(result.histories) == 9
-    for hist in result.histories:
-        assert np.all(np.diff(hist) <= 0)
+    assert len(result.histories) == 1
+    hist = result.histories[0]
+    assert hist.size == result.n_iter + 1 >= 2
+    assert np.all(np.diff(hist) < 0)
 
 
 def test_refine_multi_early_exit_is_exact():
-    """A pass in which no source moves ends the refinement, and stopping
-    there changes nothing: K=1 at j_max=5 and K=2 at the last pass that
-    moved give nu_hat and X_hat bitwise equal to j_max=40, whose histories
-    are shorter than K*40."""
+    """A step that does not lower the residual ends the refinement, and
+    stopping there changes nothing: on converging instances K=1 and K=2 at
+    j_max=5 give nu_hat and X_hat bitwise equal to j_max=40, both stalled,
+    and a budget of exactly the accepted steps gives them at max_steps."""
     phi = random_cm_projection(64, 64, seed=13).phi
     rng = np.random.default_rng(49)
     for k in (1, 2):
@@ -520,28 +593,32 @@ def test_refine_multi_early_exit_is_exact():
             nu0 = nu_true + rng.uniform(-0.5, 0.5, k) * 2 * np.pi / 64
             x0 = np.vstack([ls_signal(y, phi, nu) for nu in nu0])
             full = refine_multi(y, phi, nu0, x0, GompConfig(i_max=10, j_max=40))
-            passes = len(full.histories) // k
-            assert len(full.histories) < k * 40 and full.converged, f"K={k}, trial {trial}"
-            for j_max in {5 if k == 1 else passes - 1, passes}:
-                cut = refine_multi(y, phi, nu0, x0, GompConfig(i_max=10, j_max=j_max))
-                assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, j_max={j_max}"
-                assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, j_max={j_max}"
-                assert cut.converged == (j_max >= passes)
+            assert full.stop_reason == "stalled" and 1 <= full.n_iter < 400, f"K={k}, trial {trial}"
+            budgets = {"stalled": GompConfig(i_max=10, j_max=5), "max_steps": GompConfig(i_max=1, j_max=full.n_iter)}
+            for stop, cfg in budgets.items():
+                cut = refine_multi(y, phi, nu0, x0, cfg)
+                assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, {cfg}"
+                assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, {cfg}"
+                assert cut.stop_reason == stop and cut.converged == (stop == "stalled")
 
 
 def test_estimation_result_converged_reads_last_pass():
-    """converged is true only when each of the last K histories holds one
-    entry, i.e. the last pass accepted no step."""
+    """converged reads stop_reason: true only when the refinement stalled
+    rather than ran out its budget; n_iter counts the accepted steps."""
     phi = random_cm_projection(8, 32, seed=14).phi
     rng = np.random.default_rng(50)
     y = np.outer(phi @ steering_vector(1.2, 32), _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
     x0 = ls_signal(y, phi, 1.25)[None, :]
-    assert not refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=1)).converged
-    assert refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=40)).converged
-    one = np.array([1.0])
-    assert EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(np.array([2.0, 1.0]), one, one)).converged
-    assert not EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(one, np.array([2.0, 1.0]))).converged
-    assert not EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(one,)).converged
+    short = refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=1))
+    long = refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=40))
+    assert short.stop_reason == long.stop_reason == "stalled" and short.converged and long.converged
+    assert short.n_iter == long.n_iter == long.histories[0].size - 1
+    two = np.array([2.0, 1.0])
+    assert EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason="stalled").converged
+    capped = EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason="max_steps")
+    assert not capped.converged and capped.n_iter == 1
+    with pytest.raises(ValueError, match="stop_reason"):
+        EstimationResult(nu_hat=[0.1], X_hat=np.ones((1, 3)), histories=(two,), stop_reason="done")
 
 
 # ---------------------------------------------------------------- estimate
@@ -583,6 +660,51 @@ def test_estimate_refinement_beats_on_grid_start_at_20db():
         better += m1 < m0
     print(f"\n  refined below on-grid in {better}/100 trials")
     assert better >= 90
+
+
+def test_estimate_stalls_within_budget_at_20db():
+    """K=5 at the Fig-3 operating point (N=16, M=64, P=64, partial span),
+    20 dB: the joint refinement converges within the default budget, so
+    at least 38 of 40 trials stop because a step no longer lowers the
+    residual, not because j_max ran out."""
+    from gomp.array_model import UlaConfig, synthesize_measurements
+    from gomp.bench import SweepConfig, build_projection, draw_scene, _seed_int
+
+    cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=40, seed=11,
+                      snr_grid_db=(20.0,), nu_max=2 * np.pi * 15 / 64,
+                      gomp=GompConfig(i_max=10, j_max=5),
+                      design=DesignConfig(t_max=200, seed=0))
+    d = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
+    phi, _ = build_projection("designed", d, cfg)
+    ula = UlaConfig(M=cfg.M)
+    stalled = 0
+    for trial in range(cfg.trials):
+        scene = draw_scene(cfg, _seed_int(cfg.seed, trial, 0))
+        meas = synthesize_measurements(scene, phi, ula, 20.0, _seed_int(cfg.seed, 0, trial, 1))
+        stalled += estimate(meas.Y, phi, d, cfg.K, cfg.gomp).stop_reason == "stalled"
+    print(f"\n  stalled in {stalled}/{cfg.trials} trials")
+    assert stalled >= 38
+
+
+def test_estimate_projection_matrix_equals_plain_array():
+    """The sensing matrix formed once per ProjectionMatrix (and kept
+    read-only) gives bitwise the result of the same projection passed as
+    a plain array, whose sensing matrix is formed on every call."""
+    import gomp.estimator as est
+
+    phi, d = _designed_phi(16, 64, 64)
+    rng = np.random.default_rng(53)
+    y = phi.phi @ (steering_matrix([0.7, 2.9, 4.4], 64) @ _cn(rng, 3, 8)) + 0.1 * _cn(rng, 16, 8)
+    cfg = GompConfig(i_max=10, j_max=5)
+    plain = estimate(y, phi.phi, d, 3, cfg)
+    for _ in range(2):
+        cached = estimate(y, phi, d, 3, cfg)
+        assert np.array_equal(cached.initial_grid_indices, plain.initial_grid_indices)
+        assert np.array_equal(cached.nu_hat, plain.nu_hat)
+        assert np.array_equal(cached.X_hat, plain.X_hat)
+        assert np.array_equal(cached.histories[0], plain.histories[0])
+        assert cached.stop_reason == plain.stop_reason
+    assert not est._sensing_matrix(phi, d).flags.writeable
 
 
 def test_estimate_pure_noise_does_not_crash():
