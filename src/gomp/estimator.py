@@ -183,7 +183,7 @@ def _omp(ys: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
         scores = np.empty((len(ok), p))
         for lo in range(0, len(ok), chunk):
             parts = (psi_h @ residual[lo:lo + chunk]).view(float)
-            scores[lo:lo + chunk] = np.sqrt(np.square(parts, out=parts).sum(axis=2))
+            scores[lo:lo + chunk] = np.sqrt(np.einsum("tpi,tpi->tp", parts, parts))
         scores /= col_norms
         scores[np.arange(len(ok))[:, None], chosen] = -1.0
         chosen = np.column_stack([chosen, scores.argmax(axis=1)])
