@@ -820,10 +820,41 @@ def test_block_kernels_isolate_rank_and_step_failures():
             assert np.array_equal(delta[t], delta_step(resid[t], u[t], xs[t])), f"trial {t}"
 
 
+def test_refine_block_keeps_a_late_failure_with_its_trial(monkeypatch):
+    """A trial that fails after others have left the stack gets its own
+    error, and the others end bitwise as their T=1 calls."""
+    import gomp.estimator as est
+
+    phi = random_cm_projection(8, 32, seed=19).phi
+    rng = np.random.default_rng(58)
+    truth = np.array([0.6, 1.4, 2.3, 5.0])
+    y = np.stack([np.outer(phi @ steering_vector(f, 32), _cn(rng, 6)) + 0.3 * _cn(rng, 8, 6) for f in truth])
+    nu = (truth + np.array([0.001, 0.02, 0.03, 0.05]))[:, None]
+    x = np.stack([ls_signal(y[t], phi, nu[t, 0])[None] for t in range(4)])
+    cfg = GompConfig(i_max=10, j_max=5)
+    expected = [refine_multi(y[t], phi, nu[t], x[t], cfg) for t in range(4)]
+    assert expected[0].n_iter < min(r.n_iter for r in expected[1:]), "test premise: trial 0 leaves first"
+    injected = np.linalg.LinAlgError("injected")
+    block_fit = est._fit
+
+    def failing_fit(y, phi_mat, nu, x=None):
+        fit = block_fit(y, phi_mat, nu, x)
+        rows = np.flatnonzero(nu[:, 0] > 4.5)
+        if len(nu) < 4 and rows.size:  # trial 3, once the stack has shrunk
+            fit[5][int(rows[0])] = injected
+        return fit
+
+    monkeypatch.setattr(est, "_fit", failing_fit)
+    outcomes = est._refine(y, phi, nu, x, cfg.i_max * cfg.j_max)
+    assert outcomes[3] is injected
+    assert all(_same_result(outcomes[t], expected[t]) for t in range(3))
+
+
 def test_omp_scores_a_block_within_its_memory_cap(monkeypatch):
     """Scoring a P=1024, T=40, L=16 block in trial chunks keeps OMP's peak
-    allocation under 4 MB; scoring the whole block at once would build a
-    (T, P, L) complex temporary of 10.5 MB."""
+    allocation under 4 MB, and each trial's picks and waveforms are
+    bitwise those of its own omp call; scoring the whole block at once
+    would build a (T, P, L) complex temporary of 10.5 MB."""
     import gomp.estimator as est
 
     phi = random_cm_projection(16, 64, seed=18)
@@ -835,11 +866,15 @@ def test_omp_scores_a_block_within_its_memory_cap(monkeypatch):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            est._omp(ys, psi, 1)
+            est._omp(ys, psi, 2)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
     assert peak_bytes() < 4 * 2**20
+    _, indices, coeffs, _ = est._omp(ys, psi, 2)
+    for t in range(len(ys)):
+        alone = omp(ys[t], psi, 2)
+        assert np.array_equal(indices[t], alone[0]) and np.array_equal(coeffs[t], alone[1]), f"trial {t}"
     monkeypatch.setattr(est, "_SCORE_BYTES", 1 << 40)
     assert peak_bytes() > 10 * 2**20
