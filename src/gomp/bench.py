@@ -27,9 +27,7 @@ from .array_model import (
     build_dictionary,
     synthesize_measurements,
 )
-# estimate is not called here but stays importable from gomp.bench, where
-# perfbench's tracer wraps it
-from .estimator import GompConfig, estimate, estimate_block  # noqa: F401
+from .estimator import GompConfig, estimate
 from .projection_design import (
     DEFAULT_ALPHAS,
     DesignConfig,
@@ -279,38 +277,40 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
     """MSE of the on-grid start and of the refined estimate versus SNR.
 
     One projection is designed (or drawn) per configuration and shared by
-    all trials, and so is its sensing matrix. Each trial's scene is drawn
-    once; per SNR point every trial's measurements are synthesized into one
-    block, which estimate_block estimates in one call, and both the OMP
-    grid frequencies and the refined frequencies are scored against the
-    truth. Trials whose estimator fails are counted, not silently dropped;
-    averages use the successful trials only. mean_runtime_s is the block's
-    wall time over its successful trials.
+    all trials, and so is its sensing matrix. Each trial draws a scene,
+    synthesizes measurements at the target SNR, runs the estimator, and
+    scores both the OMP grid frequencies and the refined frequencies
+    against the truth. Trials whose estimator fails are counted, not
+    silently dropped; averages use the successful trials only.
     """
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection(cfg.projection_kind, dictionary, cfg)
     psi = phi.phi @ dictionary.A_ring
     ula = UlaConfig(M=cfg.M)
-    # scenes are shared across SNR points (common random numbers) so per-SNR
-    # averages differ only through the noise; noise draws are independent
-    # per (seed, snr index, trial)
-    scenes = [draw_scene(cfg, _seed_int(cfg.seed, trial, 0)) for trial in range(cfg.trials)]
     rows = []
     for snr_index, snr_db in enumerate(cfg.snr_grid_db):
-        ys = np.stack([
-            synthesize_measurements(scene, phi, ula, float(snr_db), _seed_int(cfg.seed, snr_index, trial, 1)).Y
-            for trial, scene in enumerate(scenes)
-        ])
-        start = time.perf_counter()
-        outcomes = estimate_block(ys, phi, dictionary, cfg.K, cfg.gomp, psi=psi)
-        runtime = time.perf_counter() - start
         sum_ongrid = 0.0
         sum_refined = 0.0
+        sum_runtime = 0.0
         ok = 0
-        for scene, result in zip(scenes, outcomes):
-            if isinstance(result, Exception):
+        failed = 0
+        for trial in range(cfg.trials):
+            # scenes are shared across SNR points (common random numbers) so
+            # per-SNR averages differ only through the noise; noise draws are
+            # independent per (seed, snr index, trial)
+            scene = draw_scene(cfg, _seed_int(cfg.seed, trial, 0))
+            meas = synthesize_measurements(
+                scene, phi, ula, float(snr_db), _seed_int(cfg.seed, snr_index, trial, 1)
+            )
+            start = time.perf_counter()
+            try:
+                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.gomp, psi=psi)
+            except (ValueError, np.linalg.LinAlgError):
+                failed += 1
                 continue
-            sum_ongrid += mse_frequencies(scene.nu, dictionary.grid[result.initial_grid_indices])
+            sum_runtime += time.perf_counter() - start
+            nu0 = dictionary.grid[result.initial_grid_indices]
+            sum_ongrid += mse_frequencies(scene.nu, nu0)
             sum_refined += mse_frequencies(scene.nu, result.nu_hat)
             ok += 1
         rows.append(
@@ -319,9 +319,9 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
                 snr_db=float(snr_db),
                 mse_ongrid=sum_ongrid / ok if ok else float("nan"),
                 mse_refined=sum_refined / ok if ok else float("nan"),
-                mean_runtime_s=runtime / ok if ok else float("nan"),
+                mean_runtime_s=sum_runtime / ok if ok else float("nan"),
                 trials_ok=ok,
-                failed_trials=cfg.trials - ok,
+                failed_trials=failed,
             )
         )
     return SweepResult(rows=tuple(rows))

@@ -19,7 +19,10 @@ once, each with its own history and stop. A trial that raises (zero or
 non-finite measurements, a rank-deficient fit, an unidentifiable step)
 fails alone. estimate_block is the kernel; estimate, omp, refine_multi,
 refine_single, delta_step, ls_signal and residual_cost are its T=1 calls,
-so a trial's result does not depend on the block it ran in.
+so a trial's result does not depend on the block it ran in. estimate
+calls omp and refine_multi, and the refinement calls delta_step once per
+attempted step of its stack, all through this module, so a wrapper
+installed on a module attribute sees each call.
 """
 
 from __future__ import annotations
@@ -133,19 +136,24 @@ def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, d
     taken in closed form, without LAPACK's call overhead, and a zero column
     is divided by 1.
     """
-    if a.shape[2] == 1:
-        s = np.sqrt((_h(a) @ a).real)[:, 0]
-        u, vh = a / np.where(s == 0, 1.0, s)[:, None, :], np.ones((len(a), 1, 1))
-        fails = {}
+    one = a.shape[2] == 1
+    if one:
+        # with one column the relative test only fails at s = 0
+        s, fails = np.sqrt((_h(a) @ a).real[:, 0]), {}
+        bad = None if s.all() else s[:, 0] == 0
     else:
         (u, s, vh), fails = _isolated(lambda m: np.linalg.svd(m, full_matrices=False), a, safe=0.0)
-    bad = (s[:, 0] == 0) | (s[:, -1] <= _PINV_RTOL * s[:, 0])
-    for t in np.flatnonzero(bad):
-        fails.setdefault(int(t), np.linalg.LinAlgError(
-            f"rank-deficient least-squares system (singular values {s[t].min():.3e}..{s[t].max():.3e})"
-        ))
-    s = np.where(bad[:, None], 1.0, s)
-    return u, _h(vh) @ ((_h(u) @ b) / s[:, :, None]), fails
+        bad = (s[:, 0] == 0) | (s[:, -1] <= _PINV_RTOL * s[:, 0])
+    if bad is not None and bad.any():
+        for t in np.flatnonzero(bad):
+            fails.setdefault(int(t), np.linalg.LinAlgError(
+                f"rank-deficient least-squares system (singular values {s[t].min():.3e}..{s[t].max():.3e})"
+            ))
+        s = np.where(bad[:, None], 1.0, s)
+    if one:
+        u = a / s[:, None, :]
+    coeffs = (_h(u) @ b) / s[:, :, None]
+    return u, coeffs if one else _h(vh) @ coeffs, fails
 
 
 def _omp(ys: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -240,12 +248,18 @@ def _fit(y: np.ndarray, phi_mat: np.ndarray, nu: np.ndarray, x: np.ndarray | Non
     """
     t, k = nu.shape
     m = phi_mat.shape[1]
-    finite = np.isfinite(nu).all(axis=1)
-    fails = {int(i): ValueError("spatial frequencies must be finite") for i in np.flatnonzero(~finite)}
-    a = steering_matrix(np.where(finite[:, None], nu, 0.0).ravel(), m).reshape(m, t, k).transpose(1, 0, 2).copy()
+    fails = {}
+    try:
+        a = steering_matrix(nu.ravel(), m)
+    except ValueError:
+        finite = np.isfinite(nu).all(axis=1)
+        fails = {int(i): ValueError("spatial frequencies must be finite") for i in np.flatnonzero(~finite)}
+        a = steering_matrix(np.where(finite[:, None], nu, 0.0).ravel(), m)
+    a = a.reshape(m, t, k).transpose(1, 0, 2).copy()
     v = phi_mat @ a
     w, x_ls, rank_fails = _solve_pinv(v, y)
-    fails = rank_fails | fails
+    if rank_fails:
+        fails = rank_fails | fails
     x = x_ls if x is None else x
     r = y - (v[:, :, :, None] * x[:, None]).sum(axis=2)
     flat = r.reshape(t, 1, r.shape[1] * r.shape[2])
@@ -279,18 +293,21 @@ def _delta(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray,
     of each trial whose step is unidentifiable."""
     gram = ((_h(u) @ u) * (x.conj() @ x.swapaxes(1, 2))).real
     diag = np.diagonal(gram, axis1=1, axis2=2)
-    zero = ~diag.all(axis=1)
-    fails = {
-        int(t): ValueError(f"source {int(np.argmin(diag[t] != 0))}: x kron u is zero: the waveform or the "
-                           "(projected) gradient response is zero; delta is unidentifiable")
-        for t in np.flatnonzero(zero)
-    }
+    fails = {}
+    if not diag.all():
+        zero = ~diag.all(axis=1)
+        fails = {
+            int(t): ValueError(f"source {int(np.argmin(diag[t] != 0))}: x kron u is zero: the waveform or the "
+                               "(projected) gradient response is zero; delta is unidentifiable")
+            for t in np.flatnonzero(zero)
+        }
+        diag = np.where(zero[:, None], 1.0, diag)
     b = (u.conj() * (resid @ _h(x))).sum(axis=1).real
     if b.shape[1] == 1:
         # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
-        return b / np.where(zero[:, None], 1.0, diag), fails
+        return b / diag, fails
     eye = np.eye(b.shape[1])
-    gram[zero] = eye
+    gram[list(fails)] = eye
     delta, singular = _isolated(lambda g, c: np.linalg.solve(g, c)[:, :, 0], gram, b[:, :, None], safe=eye)
     return delta, singular | fails
 
@@ -314,15 +331,21 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
     over delta and dX, for any X, not only the least-squares fit.
 
     1-D u (length N) and x (length L) give the single-source step as a
-    float; U (N, K) and X (K, L) give the K-vector. Raises ValueError,
-    naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2 is zero.
+    float; U (N, K) and X (K, L) give the K-vector; stacks (T, N, L),
+    (T, N, K) and (T, K, L) give the (T, K) steps. Raises ValueError,
+    naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2 is zero, for
+    the first trial of a stack that has one.
     """
-    single = np.ndim(u) == 1
     u = np.asarray(u)
-    delta, fails = _delta(np.asarray(resid)[None], u.reshape(u.shape[0], -1)[None], np.atleast_2d(x)[None])
+    if u.ndim == 3:
+        delta, fails = _delta(np.asarray(resid), u, np.asarray(x))
+    else:
+        delta, fails = _delta(np.asarray(resid)[None], u.reshape(u.shape[0], -1)[None], np.atleast_2d(x)[None])
     if fails:
-        raise fails[0]
-    return float(delta[0, 0]) if single else delta[0]
+        raise fails[min(fails)]
+    if u.ndim == 3:
+        return delta
+    return float(delta[0, 0]) if u.ndim == 1 else delta[0]
 
 
 def _refine(
@@ -340,15 +363,18 @@ def _refine(
     ids = np.arange(len(y))
     ramp = 1j * np.arange(phi_mat.shape[1])[:, None]
 
-    def record(fails: dict) -> np.ndarray:
-        """Store the errors of the failed rows; the mask of the others."""
+    def record(fails: dict) -> np.ndarray | None:
+        """Store the errors of the failed rows; the mask of the others, or
+        None when no row failed."""
+        if not fails:
+            return None
         ok = np.ones(len(ids), dtype=bool)
         for i, exc in fails.items():
             outcomes[ids[i]], ok[i] = exc, False
         return ok
 
-    def finish(rows: np.ndarray, stop: str, steps: int) -> None:
-        for i in np.flatnonzero(rows):
+    def finish(rows, stop: str, steps: int) -> None:
+        for i in rows:
             outcomes[ids[i]] = EstimationResult(
                 nu_hat=nu[i],
                 X_hat=x[i],
@@ -359,21 +385,33 @@ def _refine(
 
     *fit, fails = _fit(y, phi_mat, nu, x)
     ok = record(fails)
-    ids, y, nu, (a, w, x, r, eps) = ids[ok], y[ok], nu[ok], (part[ok] for part in fit)
+    a, w, x, r, eps = fit
+    if ok is not None:
+        ids, y, nu, (a, w, x, r, eps) = ids[ok], y[ok], nu[ok], (part[ok] for part in fit)
     history[ids, 0] = eps
     for step in range(budget):
         if not len(ids):
             break
         vg = phi_mat @ (ramp * a)
-        delta, step_fails = _delta(r, vg - w @ (_h(w) @ vg), x)
+        u = vg - w @ (_h(w) @ vg)
+        try:
+            delta, step_fails = delta_step(r, u, x), {}
+        except (ValueError, np.linalg.LinAlgError):
+            # some trial's step is unidentifiable: keep each error with its trial
+            delta, step_fails = _delta(r, u, x)
         nu_new = nu + delta
         *fit, fit_fails = _fit(y, phi_mat, nu_new)
         ok = record(fit_fails | step_fails)
-        moved = ok & (fit[4] < eps)
-        finish(ok & ~moved, "stalled", step)
-        ids, y, nu, (a, w, x, r, eps) = ids[moved], y[moved], nu_new[moved], (part[moved] for part in fit)
+        moved = fit[4] < eps
+        if ok is not None:
+            moved &= ok
+        if moved.all():
+            nu, (a, w, x, r, eps) = nu_new, fit
+        else:
+            finish(np.flatnonzero(~moved if ok is None else ok & ~moved), "stalled", step)
+            ids, y, nu, (a, w, x, r, eps) = ids[moved], y[moved], nu_new[moved], (part[moved] for part in fit)
         history[ids, step + 1] = eps
-    finish(np.ones(len(ids), dtype=bool), "max_steps", budget)
+    finish(range(len(ids)), "max_steps", budget)
     return outcomes
 
 
@@ -454,11 +492,16 @@ def estimate_block(ys: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: Gom
     return outcomes
 
 
-def estimate(y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig) -> EstimationResult:
+def estimate(y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig, psi=None) -> EstimationResult:
     """End-to-end estimation: OMP on-grid start, then joint refinement.
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array; the
-    sensing matrix is formed from the dictionary on every call. This is
-    the T=1 call of estimate_block.
+    sensing matrix psi = Phi A_ring is formed from the dictionary unless
+    given, so a caller estimating many trials forms it once. omp and
+    refine_multi run the trial, which makes this the T=1 call of
+    estimate_block.
     """
-    return _one(estimate_block(np.atleast_2d(np.asarray(y, dtype=complex))[None], phi, dictionary, k, cfg))
+    phi_mat = np.asarray(phi, dtype=complex)
+    psi = phi_mat @ dictionary.A_ring if psi is None else psi
+    indices, x0 = omp(y, psi, k)
+    return refine_multi(y, phi_mat, dictionary.grid[indices], x0, cfg, grid_indices=indices)

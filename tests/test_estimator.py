@@ -694,14 +694,15 @@ def test_estimate_stalls_within_budget_at_20db():
 
 def test_estimate_projection_matrix_equals_plain_array():
     """A ProjectionMatrix gives bitwise the result of the same projection
-    passed as a plain array, on repeated calls too."""
+    passed as a plain array, on repeated calls too and with the sensing
+    matrix formed by the caller."""
     phi, d = _designed_phi(16, 64, 64)
     rng = np.random.default_rng(53)
     y = phi.phi @ (steering_matrix([0.7, 2.9, 4.4], 64) @ _cn(rng, 3, 8)) + 0.1 * _cn(rng, 16, 8)
     cfg = GompConfig(i_max=10, j_max=5)
     plain = estimate(y, phi.phi, d, 3, cfg)
-    for _ in range(2):
-        cached = estimate(y, phi, d, 3, cfg)
+    for given in ({}, {}, {"psi": phi.phi @ d.A_ring}):
+        cached = estimate(y, phi, d, 3, cfg, **given)
         assert np.array_equal(cached.initial_grid_indices, plain.initial_grid_indices)
         assert np.array_equal(cached.nu_hat, plain.nu_hat)
         assert np.array_equal(cached.X_hat, plain.X_hat)
@@ -818,6 +819,9 @@ def test_block_kernels_isolate_rank_and_step_failures():
             assert type(fails[t]) is type(expected) and str(fails[t]) == str(expected), f"trial {t}"
         else:
             assert np.array_equal(delta[t], delta_step(resid[t], u[t], xs[t])), f"trial {t}"
+    # on the stack, delta_step gives the steps of _delta or raises the first failure
+    assert np.array_equal(delta_step(resid[[0, 3]], u[[0, 3]], xs[[0, 3]]), delta[[0, 3]])
+    assert str(_raised(delta_step, resid, u, xs)) == str(fails[1])
 
 
 def test_refine_block_keeps_a_late_failure_with_its_trial(monkeypatch):
