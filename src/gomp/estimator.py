@@ -143,7 +143,8 @@ def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, d
         bad = None if s.all() else s[:, 0] == 0
     else:
         (u, s, vh), fails = _isolated(lambda m: np.linalg.svd(m, full_matrices=False), a, safe=0.0)
-        bad = (s[:, 0] == 0) | (s[:, -1] <= _PINV_RTOL * s[:, 0])
+        floor = _PINV_RTOL * s[:, 0]
+        bad = None if (s[:, -1] > floor).all() else (s[:, 0] == 0) | (s[:, -1] <= floor)
     if bad is not None and bad.any():
         for t in np.flatnonzero(bad):
             fails.setdefault(int(t), np.linalg.LinAlgError(
@@ -307,7 +308,8 @@ def _delta(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray,
         # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
         return b / diag, fails
     eye = np.eye(b.shape[1])
-    gram[list(fails)] = eye
+    if fails:
+        gram[list(fails)] = eye
     delta, singular = _isolated(lambda g, c: np.linalg.solve(g, c)[:, :, 0], gram, b[:, :, None], safe=eye)
     return delta, singular | fails
 
@@ -358,6 +360,7 @@ def _refine(
     when its step is rejected ("stalled") or fails, and the rest end at
     "max_steps". Returns per trial its EstimationResult or its error.
     """
+    # ids, y, nu, history and the fit hold the rows of the trials still running
     outcomes: list = [None] * len(y)
     history = np.zeros((len(y), budget + 1))
     ids = np.arange(len(y))
@@ -378,7 +381,7 @@ def _refine(
             outcomes[ids[i]] = EstimationResult(
                 nu_hat=nu[i],
                 X_hat=x[i],
-                histories=(history[ids[i], :steps + 1].copy(),),
+                histories=(history[i, :steps + 1].copy(),),
                 stop_reason=stop,
                 initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices[ids[i]], dtype=int),
             )
@@ -387,8 +390,8 @@ def _refine(
     ok = record(fails)
     a, w, x, r, eps = fit
     if ok is not None:
-        ids, y, nu, (a, w, x, r, eps) = ids[ok], y[ok], nu[ok], (part[ok] for part in fit)
-    history[ids, 0] = eps
+        ids, y, nu, history, (a, w, x, r, eps) = ids[ok], y[ok], nu[ok], history[ok], (part[ok] for part in fit)
+    history[:, 0] = eps
     for step in range(budget):
         if not len(ids):
             break
@@ -409,8 +412,9 @@ def _refine(
             nu, (a, w, x, r, eps) = nu_new, fit
         else:
             finish(np.flatnonzero(~moved if ok is None else ok & ~moved), "stalled", step)
-            ids, y, nu, (a, w, x, r, eps) = ids[moved], y[moved], nu_new[moved], (part[moved] for part in fit)
-        history[ids, step + 1] = eps
+            ids, y, nu, history = ids[moved], y[moved], nu_new[moved], history[moved]
+            a, w, x, r, eps = (part[moved] for part in fit)
+        history[:, step + 1] = eps
     finish(range(len(ids)), "max_steps", budget)
     return outcomes
 

@@ -413,7 +413,7 @@ def test_refine_single_forms_each_iterate_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(est, "steering_matrix", counted(est.steering_matrix, "steering"))
-    monkeypatch.setattr(est, "_delta", counted(est._delta, "steps"))
+    monkeypatch.setattr(est, "delta_step", counted(est.delta_step, "steps"))
     rng = np.random.default_rng(45)
     for trial in range(10):
         phi = random_cm_projection(8, 32, seed=200 + trial).phi
@@ -435,14 +435,12 @@ def test_refine_single_step_is_variable_projection_step(monkeypatch):
     import gomp.estimator as est
 
     steps = []
-    block_delta = est._delta
 
     def recorded(*args):
-        out = block_delta(*args)
-        steps.append(float(out[0][0, 0]))
-        return out
+        steps.append(delta_step(*args))
+        return steps[-1]
 
-    monkeypatch.setattr(est, "_delta", recorded)
+    monkeypatch.setattr(est, "delta_step", recorded)
     rng = np.random.default_rng(48)
     for trial in range(50):
         m = int(rng.integers(4, 33))
