@@ -52,9 +52,9 @@ def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if m < 1:
         raise ValueError(f"sensor count must be >= 1, got {m}")
-    if not np.all(np.isfinite(nu)):
+    if not np.isfinite(nu).all():
         raise ValueError("spatial frequencies must be finite")
-    return np.exp(1j * np.outer(np.arange(m), nu))
+    return np.exp(1j * (np.arange(m)[:, None] * nu))
 
 
 def spatial_frequency(theta: float, spacing_ratio: float = 0.5) -> float:

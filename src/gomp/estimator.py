@@ -1,4 +1,4 @@
-"""Off-grid frequency estimation over a block of trials.
+"""Off-grid frequency estimation.
 
 A simultaneous (multi-snapshot) OMP stage selects on-grid starting
 frequencies, and a first-order Taylor refinement then walks all K
@@ -11,18 +11,6 @@ refinement is Gauss-Newton on the separable least-squares problem and
 converges in a few steps; the paper's frozen-waveform Taylor step is its
 special case. It ends at its first step that does not lower the residual
 or when the step budget is spent.
-
-Every stage runs on a stack of T trials, (T, N, L) measurements sharing
-one projection and dictionary: OMP scores every trial against one sensing
-matrix, and the refinement steps all trials that are still moving at
-once, each with its own history and stop. A trial that raises (zero or
-non-finite measurements, a rank-deficient fit, an unidentifiable step)
-fails alone. estimate_block is the kernel; estimate, omp, refine_multi,
-refine_single, delta_step, ls_signal and residual_cost are its T=1 calls,
-so a trial's result does not depend on the block it ran in. estimate
-calls omp and refine_multi, and the refinement calls delta_step once per
-attempted step of its stack, all through this module, so a wrapper
-installed on a module attribute sees each call.
 """
 
 from __future__ import annotations
@@ -34,9 +22,6 @@ import numpy as np
 from .array_model import Dictionary, steering_matrix
 
 _PINV_RTOL = 1e-12
-# OMP scores a block in chunks of trials whose (trials, P, L) correlation
-# temporary stays within this many bytes
-_SCORE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,7 +58,7 @@ class EstimationResult:
     def __post_init__(self) -> None:
         nu = np.atleast_1d(np.asarray(self.nu_hat, dtype=float))
         x = np.atleast_2d(np.asarray(self.X_hat, dtype=complex))
-        if not np.all(np.isfinite(nu)):
+        if not np.isfinite(nu).all():
             raise ValueError("estimated frequencies must be finite")
         if self.stop_reason not in ("stalled", "max_steps"):
             raise ValueError(f"stop_reason must be 'stalled' or 'max_steps', got {self.stop_reason!r}")
@@ -93,117 +78,27 @@ class EstimationResult:
         return self.stop_reason == "stalled"
 
 
-def _h(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
+def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solve a^+ b via SVD, reporting rank deficiency.
 
-
-def _one(outcomes: list):
-    """The outcome of a T=1 call: its result, or the error its trial raised."""
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
-
-
-def _isolated(fn, stack: np.ndarray, *rest: np.ndarray, safe) -> tuple:
-    """fn(stack, *rest) over a stack of trials with each LAPACK failure kept
-    to its trial. Returns (fn's output, fails): a trial on which fn fails
-    alone has its stack entry replaced by safe, and fails maps its index to
-    the LinAlgError it raised."""
-    try:
-        return fn(stack, *rest), {}
-    except np.linalg.LinAlgError:
-        fails = {}
-        for t in range(len(stack)):
-            try:
-                fn(stack[t:t + 1], *(r[t:t + 1] for r in rest))
-            except np.linalg.LinAlgError as exc:
-                fails[t] = exc
-        stack = stack.copy()
-        stack[list(fails)] = safe
-        return fn(stack, *rest), fails
-
-
-def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Least-squares solves a_t^+ b_t via SVD for a stack of trials,
-    reporting rank deficiency.
-
-    a is (T, N, K) and b (T, N, L). Returns (u, a^+ b, fails) with u the
-    orthonormal bases of the ranges of the a_t. A trial whose singular
-    values fall below _PINV_RTOL times its largest is rank-deficient and is
-    never silently truncated: fails maps it to its LinAlgError, and its rows
-    of u and a^+ b mean nothing. One column's SVD (a / ||a||, ||a||, 1) is
-    taken in closed form, without LAPACK's call overhead, and a zero column
-    is divided by 1.
+    Returns (u, a^+ b) with u an orthonormal basis of the range of a.
+    Singular values below _PINV_RTOL times the largest are treated as a
+    rank deficiency and raised, never silently truncated. One column's SVD
+    (a / ||a||, ||a||, 1) is taken in closed form, without LAPACK's call
+    overhead or a product with its unit right factor; a zero column is
+    divided by 1 and raised by the rank check.
     """
-    one = a.shape[2] == 1
-    if one:
-        # with one column the relative test only fails at s = 0
-        s, fails = np.sqrt((_h(a) @ a).real[:, 0]), {}
-        bad = None if s.all() else s[:, 0] == 0
+    if a.shape[1] == 1:
+        s = np.array([np.sqrt(np.vdot(a, a).real)])
+        u, vh = a / (s[0] or 1.0), None
     else:
-        (u, s, vh), fails = _isolated(lambda m: np.linalg.svd(m, full_matrices=False), a, safe=0.0)
-        floor = _PINV_RTOL * s[:, 0]
-        bad = None if (s[:, -1] > floor).all() else (s[:, 0] == 0) | (s[:, -1] <= floor)
-    if bad is not None and bad.any():
-        for t in np.flatnonzero(bad):
-            fails.setdefault(int(t), np.linalg.LinAlgError(
-                f"rank-deficient least-squares system (singular values {s[t].min():.3e}..{s[t].max():.3e})"
-            ))
-        s = np.where(bad[:, None], 1.0, s)
-    if one:
-        u = a / s[:, None, :]
-    coeffs = (_h(u) @ b) / s[:, :, None]
-    return u, coeffs if one else _h(vh) @ coeffs, fails
-
-
-def _omp(ys: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Simultaneous OMP on each trial of a (T, N, L) stack.
-
-    Returns (ok, indices, coefficients, fails): the trials that succeeded,
-    their (k,) selections and (k, L) waveforms, and the error of each trial
-    that failed. Dimension errors shared by all trials are raised.
-    """
-    n, p = psi.shape
-    if ys.shape[1] != n:
-        raise ValueError(f"measurements have {ys.shape[1]} rows but sensing matrix has {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-    if k > p:
-        raise ValueError(f"cannot select K={k} columns from P={p}")
-    col_norms = np.linalg.norm(psi, axis=0)
-    if np.any(col_norms == 0):
-        raise ValueError("sensing matrix has a zero column")
-    fails = {}
-    for t in np.flatnonzero(~np.isfinite(ys).all(axis=(1, 2))):
-        row, col = np.argwhere(~np.isfinite(ys[t]))[0]
-        fails[int(t)] = ValueError(
-            f"measurements contain non-finite entry {ys[t][row, col]} at (row {row}, column {col})"
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0 or s[-1] <= _PINV_RTOL * s[0]:
+        raise np.linalg.LinAlgError(
+            f"rank-deficient least-squares system (singular values {s.min():.3e}..{s.max():.3e})"
         )
-    for t in np.flatnonzero(~ys.any(axis=(1, 2))):
-        fails[int(t)] = ValueError("measurement matrix is zero; OMP has nothing to select")
-    ok = np.array([t for t in range(len(ys)) if t not in fails], dtype=int)
-    y = residual = ys[ok]
-    psi_h = _h(psi)
-    chunk = max(1, _SCORE_BYTES // (psi.itemsize * p * ys.shape[2]))
-    chosen = np.zeros((len(ok), 0), dtype=int)
-    coeffs = np.zeros((len(ok), 0, ys.shape[2]), dtype=complex)
-    for _ in range(k):
-        scores = np.empty((len(ok), p))
-        for lo in range(0, len(ok), chunk):
-            parts = (psi_h @ residual[lo:lo + chunk]).view(float)
-            scores[lo:lo + chunk] = np.sqrt(np.einsum("tpi,tpi->tp", parts, parts))
-        scores /= col_norms
-        scores[np.arange(len(ok))[:, None], chosen] = -1.0
-        chosen = np.column_stack([chosen, scores.argmax(axis=1)])
-        cols = psi.T[chosen].swapaxes(1, 2)
-        _, coeffs, rank_fails = _solve_pinv(cols, y)
-        residual = y - cols @ coeffs
-        if rank_fails:
-            fails.update((int(ok[t]), exc) for t, exc in rank_fails.items())
-            keep = np.array([t not in rank_fails for t in range(len(ok))])
-            ok, y, residual, chosen, coeffs = ok[keep], y[keep], residual[keep], chosen[keep], coeffs[keep]
-    return ok, chosen, coeffs, fails
+    coeffs = (u.conj().T @ b) / s[:, None]
+    return u, coeffs if vh is None else vh.conj().T @ coeffs
 
 
 def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,90 +123,67 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
     indices : (k,) int array of selected grid indices, in selection order.
     coefficients : (k, L) complex array of joint least-squares waveforms.
     """
+    mat = np.asarray(psi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    _, indices, coeffs, fails = _omp(y[None], np.asarray(psi, dtype=complex), k)
-    if fails:
-        raise fails[0]
-    return indices[0], coeffs[0]
+    n, p = mat.shape
+    if y.shape[0] != n:
+        raise ValueError(f"measurements have {y.shape[0]} rows but sensing matrix has {n}")
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"measurements contain non-finite entry {y[row, col]} at (row {row}, column {col})")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
+    if k > p:
+        raise ValueError(f"cannot select K={k} columns from P={p}")
+    if not y.any():
+        raise ValueError("measurement matrix is zero; OMP has nothing to select")
+    col_norms = np.linalg.norm(mat, axis=0)
+    if (col_norms == 0).any():
+        raise ValueError("sensing matrix has a zero column")
+    residual = y
+    chosen: list[int] = []
+    coeffs = np.zeros((0, y.shape[1]), dtype=complex)
+    for _ in range(k):
+        # psi^T conj(R) is the conjugate of psi^H R; forming it spares a
+        # conjugated copy of psi, and numpy's matmul is slower on that copy
+        corr = (mat.T @ residual.conj()).view(float)
+        scores = np.sqrt(np.einsum("pi,pi->p", corr, corr)) / col_norms
+        scores[chosen] = -1.0
+        chosen.append(int(np.argmax(scores)))
+        coeffs = _solve_pinv(mat[:, chosen], y)[1]
+        residual = y - mat[:, chosen] @ coeffs
+    return np.array(chosen), coeffs
 
 
-def _fit(y: np.ndarray, phi_mat: np.ndarray, nu: np.ndarray, x: np.ndarray | None = None) -> tuple:
-    """The joint fits of a stack of trials at their K frequencies nu (T, K),
-    from one SVD of each V = Phi A(nu).
+def _fit(
+    y: np.ndarray, phi_mat: np.ndarray, nu, x: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The joint fit at the K frequencies nu, from one SVD of V = Phi A(nu).
 
-    Returns (A, W, X, R, eps, fails): A(nu), orthonormal bases W of the
-    ranges of V, the waveforms X (the least-squares fits unless given),
-    R = Y - V X, eps = ||R||_F^2 and the error of each trial whose
-    frequencies are not finite (ValueError) or whose V is rank-deficient
-    (numpy.linalg.LinAlgError, by _solve_pinv's rule). V X is a broadcast
-    sum, bitwise the outer product v x^T for K=1, so an exact model leaves
-    a zero residual. One steering evaluation serves the whole stack.
+    Returns (A, W, X, R, eps): A(nu), an orthonormal basis W of range(V),
+    the waveforms X (the least-squares fit unless given), R = Y - V X and
+    eps = ||R||_F^2. V X is a broadcast sum, bitwise the outer product
+    v x^T for K=1, so an exact model leaves a zero residual. Raises
+    numpy.linalg.LinAlgError, by _solve_pinv's rule, if V is rank-deficient.
     """
-    t, k = nu.shape
-    m = phi_mat.shape[1]
-    fails = {}
-    try:
-        a = steering_matrix(nu.ravel(), m)
-    except ValueError:
-        finite = np.isfinite(nu).all(axis=1)
-        fails = {int(i): ValueError("spatial frequencies must be finite") for i in np.flatnonzero(~finite)}
-        a = steering_matrix(np.where(finite[:, None], nu, 0.0).ravel(), m)
-    a = a.reshape(m, t, k).transpose(1, 0, 2).copy()
+    a = steering_matrix(nu, phi_mat.shape[1])
     v = phi_mat @ a
-    w, x_ls, rank_fails = _solve_pinv(v, y)
-    if rank_fails:
-        fails = rank_fails | fails
+    w, x_ls = _solve_pinv(v, y)
     x = x_ls if x is None else x
-    r = y - (v[:, :, :, None] * x[:, None]).sum(axis=2)
-    flat = r.reshape(t, 1, r.shape[1] * r.shape[2])
-    eps = (flat.conj() @ flat.swapaxes(1, 2)).real[:, 0, 0]
-    return a, w, x, r, eps, fails
-
-
-def _fit_one(y, phi, nu, x=None) -> tuple:
-    """_fit of one trial: (A, W, X, R, eps) without the trial axis."""
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    x = None if x is None else np.asarray(x, dtype=complex)[None, None, :]
-    fit = _fit(y[None], np.asarray(phi, dtype=complex), np.array([[float(nu)]]), x)
-    if fit[5]:
-        raise fit[5][0]
-    return tuple(part[0] for part in fit[:5])
+    r = y - (v[:, :, None] * x).sum(axis=1)
+    return a, w, x, r, float(np.vdot(r, r).real)
 
 
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
     """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
-    return _fit_one(y, phi, nu)[2][0]
+    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), [nu])[2][0]
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
-    return float(_fit_one(y, phi, nu, x)[4])
-
-
-def _delta(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """delta_step on a stack of trials: (T, N, L) residuals, (T, N, K)
-    responses and (T, K, L) waveforms give the (T, K) steps and the error
-    of each trial whose step is unidentifiable."""
-    gram = ((_h(u) @ u) * (x.conj() @ x.swapaxes(1, 2))).real
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    fails = {}
-    if not diag.all():
-        zero = ~diag.all(axis=1)
-        fails = {
-            int(t): ValueError(f"source {int(np.argmin(diag[t] != 0))}: x kron u is zero: the waveform or the "
-                               "(projected) gradient response is zero; delta is unidentifiable")
-            for t in np.flatnonzero(zero)
-        }
-        diag = np.where(zero[:, None], 1.0, diag)
-    b = (u.conj() * (resid @ _h(x))).sum(axis=1).real
-    if b.shape[1] == 1:
-        # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
-        return b / diag, fails
-    eye = np.eye(b.shape[1])
-    if fails:
-        gram[list(fails)] = eye
-    delta, singular = _isolated(lambda g, c: np.linalg.solve(g, c)[:, :, 0], gram, b[:, :, None], safe=eye)
-    return delta, singular | fails
+    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    return _fit(y, np.asarray(phi, dtype=complex), [nu], np.asarray(x, dtype=complex)[None, :])[4]
 
 
 def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
@@ -333,90 +205,22 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
     over delta and dX, for any X, not only the least-squares fit.
 
     1-D u (length N) and x (length L) give the single-source step as a
-    float; U (N, K) and X (K, L) give the K-vector; stacks (T, N, L),
-    (T, N, K) and (T, K, L) give the (T, K) steps. Raises ValueError,
-    naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2 is zero, for
-    the first trial of a stack that has one.
+    float; U (N, K) and X (K, L) give the K-vector. Raises ValueError,
+    naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2 is zero.
     """
-    u = np.asarray(u)
-    if u.ndim == 3:
-        delta, fails = _delta(np.asarray(resid), u, np.asarray(x))
-    else:
-        delta, fails = _delta(np.asarray(resid)[None], u.reshape(u.shape[0], -1)[None], np.atleast_2d(x)[None])
-    if fails:
-        raise fails[min(fails)]
-    if u.ndim == 3:
-        return delta
-    return float(delta[0, 0]) if u.ndim == 1 else delta[0]
-
-
-def _refine(
-    y: np.ndarray, phi_mat: np.ndarray, nu: np.ndarray, x: np.ndarray, budget: int, grid_indices=None
-) -> list:
-    """refine_multi on a stack of trials: (T, N, L) measurements, (T, K)
-    start frequencies and (T, K, L) start waveforms, at most budget steps.
-
-    Each step moves every trial still running; a trial leaves the stack
-    when its step is rejected ("stalled") or fails, and the rest end at
-    "max_steps". Returns per trial its EstimationResult or its error.
-    """
-    # ids, y, nu, history and the fit hold the rows of the trials still running
-    outcomes: list = [None] * len(y)
-    history = np.zeros((len(y), budget + 1))
-    ids = np.arange(len(y))
-    ramp = 1j * np.arange(phi_mat.shape[1])[:, None]
-
-    def record(fails: dict) -> np.ndarray | None:
-        """Store the errors of the failed rows; the mask of the others, or
-        None when no row failed."""
-        if not fails:
-            return None
-        ok = np.ones(len(ids), dtype=bool)
-        for i, exc in fails.items():
-            outcomes[ids[i]], ok[i] = exc, False
-        return ok
-
-    def finish(rows, stop: str, steps: int) -> None:
-        for i in rows:
-            outcomes[ids[i]] = EstimationResult(
-                nu_hat=nu[i],
-                X_hat=x[i],
-                histories=(history[i, :steps + 1].copy(),),
-                stop_reason=stop,
-                initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices[ids[i]], dtype=int),
-            )
-
-    *fit, fails = _fit(y, phi_mat, nu, x)
-    ok = record(fails)
-    a, w, x, r, eps = fit
-    if ok is not None:
-        ids, y, nu, history, (a, w, x, r, eps) = ids[ok], y[ok], nu[ok], history[ok], (part[ok] for part in fit)
-    history[:, 0] = eps
-    for step in range(budget):
-        if not len(ids):
-            break
-        vg = phi_mat @ (ramp * a)
-        u = vg - w @ (_h(w) @ vg)
-        try:
-            delta, step_fails = delta_step(r, u, x), {}
-        except (ValueError, np.linalg.LinAlgError):
-            # some trial's step is unidentifiable: keep each error with its trial
-            delta, step_fails = _delta(r, u, x)
-        nu_new = nu + delta
-        *fit, fit_fails = _fit(y, phi_mat, nu_new)
-        ok = record(fit_fails | step_fails)
-        moved = fit[4] < eps
-        if ok is not None:
-            moved &= ok
-        if moved.all():
-            nu, (a, w, x, r, eps) = nu_new, fit
-        else:
-            finish(np.flatnonzero(~moved if ok is None else ok & ~moved), "stalled", step)
-            ids, y, nu, history = ids[moved], y[moved], nu_new[moved], history[moved]
-            a, w, x, r, eps = (part[moved] for part in fit)
-        history[:, step + 1] = eps
-    finish(range(len(ids)), "max_steps", budget)
-    return outcomes
+    single = np.ndim(u) == 1
+    u = u.reshape(u.shape[0], -1)
+    x = np.atleast_2d(x)
+    u_h, x_c = u.conj().T, x.conj()
+    gram = ((u_h @ u) * (x_c @ x.T)).real
+    diag = gram.diagonal()
+    if not diag.all():
+        raise ValueError(f"source {int(np.argmin(diag != 0))}: x kron u is zero: the waveform or the "
+                         "(projected) gradient response is zero; delta is unidentifiable")
+    b = (u_h.T * (resid @ x_c.T)).sum(axis=0).real
+    # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
+    delta = b / diag if b.size == 1 else np.linalg.solve(gram, b)
+    return float(delta[0]) if single else delta
 
 
 def refine_single(
@@ -464,48 +268,45 @@ def refine_multi(
         If the joint system Phi A(nu) is rank-deficient, for example when
         two refined frequencies coincide; omp raises the same for its refit.
     """
+    phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float))
-    x = np.atleast_2d(np.asarray(x0, dtype=complex))
+    nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float)).copy()
+    x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
     if x.shape[0] != nu.size:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
-    indices = None if grid_indices is None else [grid_indices]
-    return _one(_refine(y[None], np.asarray(phi, dtype=complex), nu[None], x[None], cfg.i_max * cfg.j_max, indices))
+    ramp = 1j * np.arange(phi_mat.shape[1])[:, None]
+    a, w, x, r, eps = _fit(y, phi_mat, nu, x)
+    history = [eps]
+    stop = "max_steps"
+    for _ in range(cfg.i_max * cfg.j_max):
+        vg = phi_mat @ (ramp * a)
+        nu_new = nu + delta_step(r, vg - w @ (w.conj().T @ vg), x)
+        fit = _fit(y, phi_mat, nu_new)
+        if not fit[4] < eps:
+            stop = "stalled"
+            break
+        nu, (a, w, x, r, eps) = nu_new, fit
+        history.append(eps)
+    return EstimationResult(
+        nu_hat=nu,
+        X_hat=x,
+        histories=(np.array(history),),
+        stop_reason=stop,
+        initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices, dtype=int),
+    )
 
 
-def estimate_block(ys: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig, psi=None) -> list:
-    """estimate on each trial of a (T, N, L) stack of measurements.
-
-    OMP scores the block against one sensing matrix psi = Phi A_ring,
-    formed here unless given, and the joint refinement then steps all
-    trials together. Returns per trial its EstimationResult, or the
-    ValueError or numpy.linalg.LinAlgError that estimate raises for it;
-    errors shared by every trial (mismatched dimensions, K out of range)
-    are raised.
-    """
-    ys = np.asarray(ys, dtype=complex)
-    if ys.ndim != 3:
-        raise ValueError(f"measurement block must be (T, N, L), got shape {ys.shape}")
-    phi_mat = np.asarray(phi, dtype=complex)
-    psi = phi_mat @ dictionary.A_ring if psi is None else np.asarray(psi, dtype=complex)
-    ok, indices, x0, fails = _omp(ys, psi, k)
-    refined = _refine(ys[ok], phi_mat, dictionary.grid[indices], x0, cfg.i_max * cfg.j_max, indices)
-    outcomes: list = [fails.get(t) for t in range(len(ys))]
-    for t, outcome in zip(ok, refined):
-        outcomes[t] = outcome
-    return outcomes
-
-
-def estimate(y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig, psi=None) -> EstimationResult:
+def estimate(
+    y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig, psi: np.ndarray | None = None
+) -> EstimationResult:
     """End-to-end estimation: OMP on-grid start, then joint refinement.
 
-    ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array; the
-    sensing matrix psi = Phi A_ring is formed from the dictionary unless
-    given, so a caller estimating many trials forms it once. omp and
-    refine_multi run the trial, which makes this the T=1 call of
-    estimate_block.
+    ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array. The
+    sensing matrix Psi = Phi A_ring is formed on each call unless the
+    caller passes it as ``psi``, as a sweep does to form it once.
     """
     phi_mat = np.asarray(phi, dtype=complex)
-    psi = phi_mat @ dictionary.A_ring if psi is None else psi
+    if psi is None:
+        psi = phi_mat @ dictionary.A_ring
     indices, x0 = omp(y, psi, k)
     return refine_multi(y, phi_mat, dictionary.grid[indices], x0, cfg, grid_indices=indices)

@@ -7,7 +7,6 @@ and the joint multi-source refinement contracts.
 """
 
 import gc
-import tracemalloc
 import warnings
 import weakref
 from functools import lru_cache
@@ -21,7 +20,6 @@ from gomp.estimator import (
     GompConfig,
     delta_step,
     estimate,
-    estimate_block,
     ls_signal,
     omp,
     refine_multi,
@@ -734,149 +732,3 @@ def test_estimate_keeps_no_reference_to_its_inputs():
     del phi, d
     gc.collect()
     assert all(ref() is None for ref in refs)
-
-
-# ------------------------------------------------------------ estimate_block
-
-def _block(rng, phi, d, k, trials, l=8):
-    """(trials, N, L) noisy measurements of k off-grid sources each."""
-    cells = np.array([np.sort(rng.choice(d.P, size=k, replace=False)) for _ in range(trials)])
-    nu = d.grid[cells] + rng.uniform(-0.5, 0.5, cells.shape) * d.spacing
-    return np.stack([phi.phi @ (steering_matrix(f, d.M) @ _cn(rng, k, l)) + 0.2 * _cn(rng, phi.phi.shape[0], l)
-                     for f in nu])
-
-
-def _same_result(a, b):
-    return (np.array_equal(a.nu_hat, b.nu_hat) and np.array_equal(a.X_hat, b.X_hat)
-            and np.array_equal(a.histories[0], b.histories[0]) and a.stop_reason == b.stop_reason
-            and np.array_equal(a.initial_grid_indices, b.initial_grid_indices))
-
-
-def test_estimate_block_is_estimate_per_trial_and_isolates_failures():
-    """Each trial of a block gives bitwise its own estimate() result, an
-    all-zero and a non-finite trial fail with estimate()'s exception, and
-    dropping them changes none of their neighbours' results."""
-    phi, d = _designed_phi(16, 64, 64)
-    cfg = GompConfig(i_max=10, j_max=5)
-    ys = _block(np.random.default_rng(55), phi, d, 3, 12)
-    ys[3] = 0.0
-    ys[7, 2, 5] = np.nan
-    outcomes = estimate_block(ys, phi, d, 3, cfg)
-    for t, outcome in enumerate(outcomes):
-        try:
-            expected = estimate(ys[t], phi, d, 3, cfg)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            expected = exc
-        if isinstance(expected, Exception):
-            assert type(outcome) is type(expected) and str(outcome) == str(expected), f"trial {t}"
-        else:
-            assert _same_result(outcome, expected), f"trial {t}"
-    assert [t for t, o in enumerate(outcomes) if isinstance(o, Exception)] == [3, 7]
-    assert str(outcomes[3]) == "measurement matrix is zero; OMP has nothing to select"
-    assert str(outcomes[7]) == "measurements contain non-finite entry (nan+0j) at (row 2, column 5)"
-    good = [t for t in range(len(ys)) if t not in (3, 7)]
-    psi = phi.phi @ d.A_ring
-    for clean in (estimate_block(ys[good], phi, d, 3, cfg), estimate_block(ys[good], phi.phi, d, 3, cfg, psi=psi)):
-        assert all(_same_result(a, outcomes[t]) for a, t in zip(clean, good))
-
-
-def _raised(fn, *args):
-    """The exception fn(*args) raises."""
-    with pytest.raises((ValueError, np.linalg.LinAlgError)) as info:
-        fn(*args)
-    return info.value
-
-
-def test_block_kernels_isolate_rank_and_step_failures():
-    """A rank-deficient start fails its trial alone in the refinement, and
-    a zero waveform or an exactly singular step system fails its trial
-    alone in the step: each with the error of its T=1 call, the others
-    bitwise equal to their T=1 calls."""
-    import gomp.estimator as est
-
-    phi = random_cm_projection(8, 32, seed=17).phi
-    rng = np.random.default_rng(56)
-    y = _cn(rng, 3, 8, 4)
-    nu = np.array([[0.5, 2.0], [0.0, 1e-14], [1.0, 4.0]])
-    x = np.stack([np.vstack([ls_signal(y[t], phi, f) for f in nu[t]]) for t in range(3)])
-    cfg = GompConfig(i_max=4, j_max=2)
-    outcomes = est._refine(y, phi, nu, x, cfg.i_max * cfg.j_max)
-    expected = _raised(refine_multi, y[1], phi, nu[1], x[1], cfg)
-    assert type(outcomes[1]) is type(expected) is np.linalg.LinAlgError and str(outcomes[1]) == str(expected)
-    for t in (0, 2):
-        assert _same_result(outcomes[t], refine_multi(y[t], phi, nu[t], x[t], cfg)), f"trial {t}"
-
-    u, xs, resid = _cn(rng, 4, 8, 2), _cn(rng, 4, 2, 3), _cn(rng, 4, 8, 3)
-    xs[1, 1] = 0.0
-    u[2, :, 1], xs[2, 1] = u[2, :, 0], xs[2, 0]
-    delta, fails = est._delta(resid, u, xs)
-    assert sorted(fails) == [1, 2]
-    for t in range(4):
-        if t in fails:
-            expected = _raised(delta_step, resid[t], u[t], xs[t])
-            assert type(fails[t]) is type(expected) and str(fails[t]) == str(expected), f"trial {t}"
-        else:
-            assert np.array_equal(delta[t], delta_step(resid[t], u[t], xs[t])), f"trial {t}"
-    # on the stack, delta_step gives the steps of _delta or raises the first failure
-    assert np.array_equal(delta_step(resid[[0, 3]], u[[0, 3]], xs[[0, 3]]), delta[[0, 3]])
-    assert str(_raised(delta_step, resid, u, xs)) == str(fails[1])
-
-
-def test_refine_block_keeps_a_late_failure_with_its_trial(monkeypatch):
-    """A trial that fails after others have left the stack gets its own
-    error, and the others end bitwise as their T=1 calls."""
-    import gomp.estimator as est
-
-    phi = random_cm_projection(8, 32, seed=19).phi
-    rng = np.random.default_rng(58)
-    truth = np.array([0.6, 1.4, 2.3, 5.0])
-    y = np.stack([np.outer(phi @ steering_vector(f, 32), _cn(rng, 6)) + 0.3 * _cn(rng, 8, 6) for f in truth])
-    nu = (truth + np.array([0.001, 0.02, 0.03, 0.05]))[:, None]
-    x = np.stack([ls_signal(y[t], phi, nu[t, 0])[None] for t in range(4)])
-    cfg = GompConfig(i_max=10, j_max=5)
-    expected = [refine_multi(y[t], phi, nu[t], x[t], cfg) for t in range(4)]
-    assert expected[0].n_iter < min(r.n_iter for r in expected[1:]), "test premise: trial 0 leaves first"
-    injected = np.linalg.LinAlgError("injected")
-    block_fit = est._fit
-
-    def failing_fit(y, phi_mat, nu, x=None):
-        fit = block_fit(y, phi_mat, nu, x)
-        rows = np.flatnonzero(nu[:, 0] > 4.5)
-        if len(nu) < 4 and rows.size:  # trial 3, once the stack has shrunk
-            fit[5][int(rows[0])] = injected
-        return fit
-
-    monkeypatch.setattr(est, "_fit", failing_fit)
-    outcomes = est._refine(y, phi, nu, x, cfg.i_max * cfg.j_max)
-    assert outcomes[3] is injected
-    assert all(_same_result(outcomes[t], expected[t]) for t in range(3))
-
-
-def test_omp_scores_a_block_within_its_memory_cap(monkeypatch):
-    """Scoring a P=1024, T=40, L=16 block in trial chunks keeps OMP's peak
-    allocation under 4 MB, and each trial's picks and waveforms are
-    bitwise those of its own omp call; scoring the whole block at once
-    would build a (T, P, L) complex temporary of 10.5 MB."""
-    import gomp.estimator as est
-
-    phi = random_cm_projection(16, 64, seed=18)
-    d = build_dictionary(1024, 2 * np.pi, 64)
-    psi = phi.phi @ d.A_ring
-    ys = _cn(np.random.default_rng(57), 40, 16, 16)
-
-    def peak_bytes():
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            est._omp(ys, psi, 2)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    assert peak_bytes() < 4 * 2**20
-    _, indices, coeffs, _ = est._omp(ys, psi, 2)
-    for t in range(len(ys)):
-        alone = omp(ys[t], psi, 2)
-        assert np.array_equal(indices[t], alone[0]) and np.array_equal(coeffs[t], alone[1]), f"trial {t}"
-    monkeypatch.setattr(est, "_SCORE_BYTES", 1 << 40)
-    assert peak_bytes() > 10 * 2**20
