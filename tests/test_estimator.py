@@ -65,6 +65,32 @@ def test_omp_single_source_matches_brute_force():
         assert indices[0] == brute == p_true
 
 
+def test_omp_matches_reference_loop_on_noisy_fine_grid():
+    """Picks and waveforms equal those of a reference simultaneous OMP that
+    scores with np.linalg.norm(psi^H R) and refits with lstsq, on noisy
+    off-grid data over a 16x oversampled grid, where neighbouring columns
+    score close to each other."""
+    d = build_dictionary(1024, 2 * np.pi, 64)
+    phi = random_cm_projection(16, 64, seed=20).phi
+    psi = phi @ d.A_ring
+    col_norms = np.linalg.norm(psi, axis=0)
+    rng = np.random.default_rng(24)
+    for k in (1, 2, 3):
+        for _ in range(10):
+            nu = rng.uniform(0, 2 * np.pi, k)
+            y = phi @ (steering_matrix(nu, 64) @ _cn(rng, k, 16)) + 0.5 * _cn(rng, 16, 16)
+            chosen, residual = [], y
+            for _ in range(k):
+                scores = np.linalg.norm(psi.conj().T @ residual, axis=1) / col_norms
+                scores[chosen] = -1.0
+                chosen.append(int(np.argmax(scores)))
+                ref = np.linalg.lstsq(psi[:, chosen], y, rcond=None)[0]
+                residual = y - psi[:, chosen] @ ref
+            indices, coeffs = omp(y, psi, k)
+            assert indices.tolist() == chosen
+            assert np.allclose(coeffs, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
 def test_omp_two_sources_exact_support():
     """Noiseless on-grid pair, separated, under the coherence guarantee."""
     phi, d = _designed_phi(16, 64, 64)
