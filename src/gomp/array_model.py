@@ -131,7 +131,7 @@ class Dictionary:
         if p < m:
             raise ValueError(f"grid size P={p} must be at least the sensor count M={m}")
         expected = steering_matrix(grid, m)
-        if not np.allclose(A, expected, atol=1e-9, rtol=0):
+        if not (np.abs(A - expected) <= 1e-9).all():
             raise ValueError("A_ring columns must be steering vectors at the grid frequencies")
         grid.setflags(write=False)
         A.setflags(write=False)

@@ -87,14 +87,19 @@ class DesignTrace:
     """Per-iteration record of a design run.
 
     coherence_per_iter[0] and objective_per_iter[0] describe the starting
-    point; entry t describes the iterate after update t. final_phi is the
-    iterate with the lowest recorded coherence, not necessarily the last.
+    point; entry t describes the iterate after update t. step_per_iter[t-1]
+    is the step update t accepted and evals_per_iter[t-1] the eta
+    evaluations its line search made: 0 for a stationary update, whose
+    shrunk Gram error is all zeros and whose step is therefore known to be
+    accepted untried. final_phi is the iterate with the lowest recorded
+    coherence, not necessarily the last.
     """
 
     coherence_per_iter: np.ndarray
     objective_per_iter: np.ndarray
     final_phi: ProjectionMatrix
     step_per_iter: np.ndarray
+    evals_per_iter: np.ndarray
     alpha: float
     best_iter: int
 
@@ -152,7 +157,7 @@ def gram_error(q: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _unit_gram_error(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """D S D - I for the Gram matrix S = Q^H Q and D = diag(d)."""
-    e = s * np.outer(d, d)
+    e = s * (d[:, None] * d)
     e.flat[:: d.size + 1] -= 1.0
     return e
 
@@ -187,9 +192,10 @@ def _frame_eta(q: np.ndarray, d: np.ndarray) -> float:
     eta use this one kernel, so the line search compares like with like."""
     n, p = q.shape
     qd = q * d
-    g = qd @ qd.conj().T
-    g.flat[:: n + 1] -= p / n
-    return float(np.linalg.norm(g) ** 2) + p * (p - n) / n
+    g = (qd @ qd.conj().T).ravel()
+    g[:: n + 1] -= p / n
+    # ||g||_F squared exactly as np.linalg.norm(g) ** 2 rounds it
+    return float(np.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag)) ** 2) + p * (p - n) / n
 
 
 def _descent(ah, q, d, s, e_used, embed_unit_norm: bool = True) -> np.ndarray:
@@ -198,7 +204,7 @@ def _descent(ah, q, d, s, e_used, embed_unit_norm: bool = True) -> np.ndarray:
     r is the diagonal of C = 2 E D S D^3, r_i = 2 d_i^3 Re sum_j E_ij S_ji d_j,
     taken in O(P^2) without forming C. Without embed_unit_norm W = 4 D E D.
     """
-    w = e_used * np.outer(4.0 * d, d)
+    w = e_used * ((4.0 * d)[:, None] * d)
     if embed_unit_norm:
         r = 2.0 * d**3 * np.real((e_used * s.T) @ d)
         w.flat[:: d.size + 1] -= 2.0 * r
@@ -208,20 +214,21 @@ def _descent(ah, q, d, s, e_used, embed_unit_norm: bool = True) -> np.ndarray:
 def shrink_error(e: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Entry-wise complex soft threshold of E at alpha * beta.
 
-    Entries with modulus below the threshold become zero; the rest shrink
-    toward zero by the threshold while keeping their phase. Hermitian
-    inputs stay Hermitian.
+    Entries with modulus at or below the threshold become zero; the rest
+    shrink toward zero by the threshold while keeping their phase, and NaN
+    entries stay NaN. Hermitian inputs stay Hermitian. A zero threshold
+    returns e * 1.0 and an infinite one e * 0.0. design() skips this call
+    when max |E| <= alpha * beta, since every entry would then be zero.
     """
     if not alpha >= 1:
         raise ValueError(f"alpha >= 1 required, got {alpha}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     e = np.asarray(e, dtype=complex)
-    mag = np.abs(e)
     thr = alpha * beta
-    with np.errstate(invalid="ignore"):
-        scale = np.where(mag < thr, 0.0, 1.0 - thr / np.where(mag > 0, mag, 1.0))
-    return e * scale
+    if thr == 0 or thr == math.inf:  # 0 / 0 and inf / inf would give NaN below
+        return e * (1.0 if thr == 0 else 0.0)
+    return e * (1.0 - thr / np.maximum(np.abs(e), thr))
 
 
 def objective_eta(phi, dictionary: Dictionary) -> float:
@@ -251,8 +258,9 @@ def cm_project(z: np.ndarray) -> np.ndarray:
     """Entry-wise projection z / |z| onto the unit circle; zeros map to 1."""
     z = np.asarray(z, dtype=complex)
     mag = np.abs(z)
-    out = np.where(mag == 0, 1.0 + 0.0j, z / np.where(mag == 0, 1.0, mag))
-    return out
+    if mag.all():
+        return z / mag
+    return np.where(mag == 0, 1.0 + 0.0j, z / np.where(mag == 0, 1.0, mag))
 
 
 def dft_projection(n: int, m: int) -> ProjectionMatrix:
@@ -315,6 +323,16 @@ def design(
     start and after every iteration; the returned matrix is the best
     iterate by coherence.
 
+    An iteration is stationary when alpha is finite and max |E| <=
+    alpha * welch_bound: the shrunk error is then all zeros, so is the
+    descent direction, and the first line-search try is the iterate itself,
+    accepted at the carried-over step. Such an iteration skips the shrink,
+    the descent direction and the line search, and only re-projects. The
+    re-projection is not idempotent in floating point and can cycle between
+    a few bit patterns, so a stationary iterate that equals one of the two
+    before it, bit for bit, reuses that iterate's Gram state. Every output
+    is as if the full iteration had run.
+
     With embed_unit_norm=False the column normalization is treated as a
     constant within each step (only the first gradient term is used and
     columns are renormalized implicitly on the next iteration), which
@@ -326,24 +344,43 @@ def design(
     phi = np.array(phi0, dtype=complex)
     beta = welch_bound(phi.shape[0], dictionary.P)
     shrink = math.isfinite(cfg.alpha)
-    mus, etas, steps = [], [], []
+
+    def state_at(phi):
+        q, d, s, e = _gram_state(phi, a)
+        return q, d, s, e, float(np.max(np.abs(e))), _frame_eta(q, d)
+
+    state = state_at(phi)
+    recent = [(phi, state)]  # the last two iterates and their states
+    mus, etas, steps, evals = [], [], [], []
     best_phi, best_iter = phi, 0
     base = cfg.step_size
     for t in range(cfg.t_max + 1):
         if t:
-            e_used = shrink_error(e, cfg.alpha, beta) if shrink else e
-            grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
-            step = base
-            halvings = 0
-            while halvings < 20 and _frame_eta(*_columns(phi - step * grad, a)) > etas[-1]:
-                step *= 0.5
-                halvings += 1
-            phi = cm_project(phi - step * grad)
+            step, halvings = base, 0
+            if shrink and e_max <= cfg.alpha * beta:
+                phi = cm_project(phi)
+                evals.append(0)
+                key = phi.tobytes()
+                state = next((old_state for old, old_state in recent if old.tobytes() == key), None)
+                if state is None:
+                    state = state_at(phi)
+            else:
+                e_used = shrink_error(e, cfg.alpha, beta) if shrink else e
+                grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
+                z = phi - step * grad
+                while halvings < 20 and _frame_eta(*_columns(z, a)) > eta:
+                    step *= 0.5
+                    halvings += 1
+                    z = phi - step * grad
+                phi = cm_project(z)
+                evals.append(min(halvings + 1, 20))
+                state = state_at(phi)
             base = min(step * 2.0, 1e9) if halvings == 0 else step
             steps.append(step)
-        q, d, s, e = _gram_state(phi, a)
-        mus.append(_coherence(e))
-        etas.append(_frame_eta(q, d))
+            recent = [recent[-1], (phi, state)]
+        q, d, s, e, e_max, eta = state
+        mus.append(min(e_max, 1.0))
+        etas.append(eta)
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
     return DesignTrace(
@@ -351,6 +388,7 @@ def design(
         objective_per_iter=np.array(etas),
         final_phi=ProjectionMatrix(phi=best_phi),
         step_per_iter=np.array(steps),
+        evals_per_iter=np.array(evals, dtype=int),
         alpha=cfg.alpha,
         best_iter=best_iter,
     )

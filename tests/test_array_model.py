@@ -128,6 +128,19 @@ def test_dictionary_rejects_inconsistent_columns():
         Dictionary(grid=d.grid, A_ring=bad)
 
 
+@pytest.mark.parametrize("delta, accepted", [(2e-9, False), (5e-10, True), (np.nan, False)])
+def test_dictionary_column_tolerance(delta, accepted):
+    """Every A_ring entry must lie within 1e-9 of the steering vector's."""
+    d = build_dictionary(8, 2 * np.pi, 4)
+    a_ring = np.array(d.A_ring)
+    a_ring[1, 2] += delta
+    if accepted:
+        assert np.array_equal(Dictionary(grid=d.grid, A_ring=a_ring).A_ring, a_ring)
+    else:
+        with pytest.raises(ValueError, match="steering vectors"):
+            Dictionary(grid=d.grid, A_ring=a_ring)
+
+
 def test_dictionary_rejects_p_below_m():
     with pytest.raises(ValueError):
         build_dictionary(3, 2 * np.pi, 4)

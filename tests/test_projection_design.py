@@ -6,17 +6,19 @@ directional derivative of eta along Delta equals Re<G, Delta> with a
 single constant 1.0), descent behavior, and the design loop contracts.
 """
 
-import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gomp import projection_design
 from gomp.array_model import Dictionary, build_dictionary, steering_matrix
 from gomp.projection_design import (
     DesignConfig,
     ProjectionMatrix,
+    _descent,
     cm_project,
     design,
     design_with_alpha_sweep,
@@ -159,6 +161,23 @@ def test_shrink_nonexpansive_and_hermitian():
 def test_shrink_infinite_threshold_zeroes_everything():
     e = np.ones((3, 3), dtype=complex)
     assert np.all(shrink_error(e, np.inf, 0.2) == 0)
+
+
+def test_shrink_edge_entries():
+    """An entry exactly at the threshold and a zero entry become zero
+    without a floating-point warning, a NaN entry stays NaN and leaves the
+    others as they would be without it, and a zero threshold returns E
+    bit for bit."""
+    e = np.array([[0.3, 0.0, 0.5j], [np.nan, -0.2 + 0.4j, 1e-300]])
+    with np.errstate(all="raise"):
+        out = shrink_error(e, 1.0, 0.3)
+    assert out[0, 0] == 0 and out[0, 1] == 0 and out[1, 2] == 0
+    assert out[0, 2] == pytest.approx(0.2j)
+    assert np.isnan(out[1, 0])
+    assert out[1, 1] == shrink_error(e[1:, 1:2], 1.0, 0.3)[0, 0]
+    rng = np.random.default_rng(15)
+    e = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    assert shrink_error(e, 1.0, 0.0).tobytes() == e.tobytes()
 
 
 # -------------------------------------------------------------- cm_project
@@ -355,25 +374,31 @@ def test_design_zero_iterations_returns_start():
     )
 
 
-def _reference_design(d, cfg, phi0):
-    """The design loop spelled out with the public kernels: shrink the Gram
-    error, step along gradient_eta, halve (at most 20 times) while
-    objective_eta rises, project, and double the next start step after an
-    iteration that needed no halving."""
+def _reference_design(d, cfg, phi0, embed_unit_norm=True):
+    """The design loop spelled out with the public kernels and no shortcut:
+    a fresh Gram error at every iterate, the shrunk error, gradient_eta (the
+    first term of the direction alone, as design() takes it, without
+    embed_unit_norm), halving the step (at most 20 times) while
+    objective_eta of the trial point rises, projection, and doubling the
+    next start step after an iteration that needed no halving."""
     beta = welch_bound(phi0.phi.shape[0], d.P)
+    ah = d.A_ring.conj().T
     phi = np.array(phi0.phi)
 
     def gram(phi):
         q = phi @ d.A_ring
-        return gram_error(q, _inv_norms(q))
+        return q, _inv_norms(q), gram_error(q, _inv_norms(q))
 
-    e = gram(phi)
+    q, dn, e = gram(phi)
     mus, etas, steps = [min(np.max(np.abs(e)), 1.0)], [objective_eta(phi, d)], []
-    best_phi = phi
+    best_phi, best_iter = phi, 0
     base = cfg.step_size
-    for _ in range(cfg.t_max):
+    for t in range(1, cfg.t_max + 1):
         e_used = shrink_error(e, cfg.alpha, beta) if np.isfinite(cfg.alpha) else e
-        grad = gradient_eta(phi, d, e_used)
+        if embed_unit_norm:
+            grad = gradient_eta(phi, d, e_used)
+        else:
+            grad = _descent(ah, q, dn, None, e_used, embed_unit_norm=False)
         step, halvings = base, 0
         while halvings < 20 and objective_eta(phi - step * grad, d) > etas[-1]:
             step *= 0.5
@@ -381,12 +406,21 @@ def _reference_design(d, cfg, phi0):
         phi = cm_project(phi - step * grad)
         base = min(step * 2.0, 1e9) if halvings == 0 else step
         steps.append(step)
-        e = gram(phi)
+        q, dn, e = gram(phi)
         mus.append(min(np.max(np.abs(e)), 1.0))
         etas.append(objective_eta(phi, d))
-        if mus[-1] < min(mus[:-1]):
-            best_phi = phi
-    return np.array(mus), np.array(etas), np.array(steps), best_phi
+        if mus[-1] < mus[best_iter]:
+            best_phi, best_iter = phi, t
+    return np.array(mus), np.array(etas), np.array(steps), best_phi, best_iter
+
+
+def _assert_trace_equals_reference(trace, reference):
+    mus, etas, steps, best_phi, best_iter = reference
+    assert np.array_equal(trace.coherence_per_iter, mus)
+    assert np.array_equal(trace.objective_per_iter, etas)
+    assert np.array_equal(trace.step_per_iter, steps)
+    assert np.array_equal(trace.final_phi.phi, best_phi)
+    assert trace.best_iter == best_iter
 
 
 @pytest.mark.parametrize("alpha", [1.5, np.inf])
@@ -397,25 +431,82 @@ def test_design_equals_public_kernel_loop(alpha):
     cfg = DesignConfig(t_max=15, step_size=5.0, alpha=alpha)  # a large start forces halvings
     phi0 = initial_projection(d, 4, cfg)
     trace = design(d, cfg, phi0)
-    mus, etas, steps, best_phi = _reference_design(d, cfg, phi0)
-    assert len(set(steps)) > 2  # both the halving and the doubling rule ran
-    assert np.array_equal(trace.coherence_per_iter, mus)
-    assert np.array_equal(trace.objective_per_iter, etas)
-    assert np.array_equal(trace.step_per_iter, steps)
-    assert np.array_equal(trace.final_phi.phi, best_phi)
+    reference = _reference_design(d, cfg, phi0)
+    assert len(set(reference[2])) > 2  # both the halving and the doubling rule ran
+    _assert_trace_equals_reference(trace, reference)
 
 
-def _replayed_evaluations(steps, step_size):
-    """Objective evaluations per iteration, replayed from the accepted steps:
-    an iteration that halved h times from the carried step evaluated h + 1
-    trials (20 at the halving cap), and the carried step doubles after an
-    iteration with no halving."""
-    evals, base = [], step_size
-    for step in steps:
-        halvings = round(math.log2(base / step))
-        evals.append(halvings + 1 if halvings < 20 else 20)
-        base = min(step * 2.0, 1e9) if halvings == 0 else step
-    return evals
+# the Fig.-3 partial-span grid and the full circle, both at P = M = 64, N = 16
+FIG3_NU_MAX = 2 * np.pi * 15 / 64
+DESIGN_GRIDS = {"fig3": FIG3_NU_MAX, "circle": 2 * np.pi}
+
+
+@pytest.mark.parametrize("grid", DESIGN_GRIDS)
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 5.0, np.inf])
+@pytest.mark.parametrize("embed_unit_norm", [True, False])
+@pytest.mark.parametrize("init", ["svd", "random"])
+def test_design_equals_reference_loop(grid, alpha, embed_unit_norm, init):
+    """Stationary iterations (alpha * welch_bound above max |E|: alpha = 5 on
+    both grids and alpha = 3 on the circle, where Phi settles into a
+    two-iterate cycle of cm_project by t = 4) and reused Gram states leave
+    every output bitwise equal to the loop that runs each iteration in full."""
+    d = build_dictionary(64, DESIGN_GRIDS[grid], 64)
+    cfg = DesignConfig(t_max=8, alpha=alpha, init=init)
+    phi0 = initial_projection(d, 16, cfg)
+    trace = design(d, cfg, phi0, embed_unit_norm=embed_unit_norm)
+    _assert_trace_equals_reference(trace, _reference_design(d, cfg, phi0, embed_unit_norm))
+    assert trace.evals_per_iter.shape == (cfg.t_max,)
+
+
+def _count_column_norms(monkeypatch):
+    """Counts np.linalg.norm(..., axis=0) calls made in projection_design:
+    one per Gram state and one per line-search try."""
+    calls = {"norms": 0}
+
+    def norm(x, *args, **kwargs):
+        if kwargs.get("axis") == 0:
+            calls["norms"] += 1
+        return np.linalg.norm(x, *args, **kwargs)
+
+    class CountingNumpy:
+        linalg = types.SimpleNamespace(norm=norm)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(projection_design, "np", CountingNumpy())
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_design_evals_per_iter_counts_line_search_work(alpha, monkeypatch):
+    """evals_per_iter counts the eta evaluations made: the column norms
+    taken equal the start state plus one fresh state per iterate that does
+    not repeat either of the two before it, plus sum(evals_per_iter). On
+    the Fig.-3 grid alpha = 1 evaluates at every iteration; alpha = 5 is
+    stationary throughout, so Phi only runs through cm_project, makes no
+    evaluation, and computes fresh states until it cycles."""
+    d = build_dictionary(64, FIG3_NU_MAX, 64)
+    cfg = DesignConfig(t_max=12, alpha=alpha)
+    phi0 = initial_projection(d, 16, cfg)
+    chain = [phi0.phi]
+    for _ in range(cfg.t_max):
+        chain.append(cm_project(chain[-1]))
+    repeats = [
+        t for t in range(2, cfg.t_max + 1)
+        if chain[t].tobytes() in (chain[t - 1].tobytes(), chain[t - 2].tobytes())
+    ]
+    calls = _count_column_norms(monkeypatch)
+    trace = design(d, cfg, phi0)
+    if alpha == 1.0:
+        assert np.all(trace.evals_per_iter >= 1)
+        fresh = cfg.t_max
+    else:
+        assert np.array_equal(trace.evals_per_iter, np.zeros(cfg.t_max))
+        assert np.array_equal(trace.final_phi.phi, chain[trace.best_iter])
+        assert repeats == list(range(4, cfg.t_max + 1))
+        fresh = cfg.t_max - len(repeats)
+    assert calls["norms"] == 1 + fresh + trace.evals_per_iter.sum()
 
 
 def test_design_line_search_cost():
@@ -425,7 +516,7 @@ def test_design_line_search_cost():
     d = build_dictionary(64, 2 * np.pi, 64)
     cfg = DesignConfig(t_max=200, alpha=1.0)
     trace = design(d, cfg, initial_projection(d, 16, cfg))
-    evals = _replayed_evaluations(trace.step_per_iter, cfg.step_size)
+    evals = trace.evals_per_iter
     assert len(evals) == cfg.t_max
     print(f"\n  line-search evaluations per iteration: {np.mean(evals):.3f}")
     assert np.mean(evals) <= 2.0
