@@ -357,7 +357,7 @@ def design(
     for t in range(cfg.t_max + 1):
         if t:
             step, halvings = base, 0
-            if shrink and e_max <= cfg.alpha * beta:
+            if shrink and e_max <= cfg.alpha * beta:  # stationary: the try at Phi itself is accepted
                 phi = cm_project(phi)
                 evals.append(0)
                 key = phi.tobytes()

@@ -376,8 +376,8 @@ def test_design_zero_iterations_returns_start():
 
 def _reference_design(d, cfg, phi0, embed_unit_norm=True):
     """The design loop spelled out with the public kernels and no shortcut:
-    a fresh Gram error at every iterate, the shrunk error, gradient_eta (the
-    first term of the direction alone, as design() takes it, without
+    at every iterate a fresh Gram error, its shrunk version, the direction
+    gradient_eta (only its first term 4 Q D E D A^H, from _descent, without
     embed_unit_norm), halving the step (at most 20 times) while
     objective_eta of the trial point rises, projection, and doubling the
     next start step after an iteration that needed no halving."""
@@ -448,14 +448,17 @@ DESIGN_GRIDS = {"fig3": FIG3_NU_MAX, "circle": 2 * np.pi}
 def test_design_equals_reference_loop(grid, alpha, embed_unit_norm, init):
     """Stationary iterations (alpha * welch_bound above max |E|: alpha = 5 on
     both grids and alpha = 3 on the circle, where Phi settles into a
-    two-iterate cycle of cm_project by t = 4) and reused Gram states leave
-    every output bitwise equal to the loop that runs each iteration in full."""
+    two-iterate cycle of cm_project within five iterations) and reused Gram
+    states leave every output bitwise equal to the loop that runs each
+    iteration in full."""
     d = build_dictionary(64, DESIGN_GRIDS[grid], 64)
     cfg = DesignConfig(t_max=8, alpha=alpha, init=init)
     phi0 = initial_projection(d, 16, cfg)
     trace = design(d, cfg, phi0, embed_unit_norm=embed_unit_norm)
     _assert_trace_equals_reference(trace, _reference_design(d, cfg, phi0, embed_unit_norm))
     assert trace.evals_per_iter.shape == (cfg.t_max,)
+    if alpha == 5.0:
+        assert not trace.evals_per_iter.any()
 
 
 def _count_column_norms(monkeypatch):
