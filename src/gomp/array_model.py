@@ -10,7 +10,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,7 @@ def steering_vector(nu: float, m: int) -> np.ndarray:
     m : int
         Number of sensors, at least 1.
     """
-    if m < 1:
-        raise ValueError(f"sensor count must be >= 1, got {m}")
-    if not math.isfinite(nu):
-        raise ValueError(f"spatial frequency must be finite, got {nu}")
-    return np.exp(1j * nu * np.arange(m))
+    return steering_matrix([nu], m)[:, 0]
 
 
 def steering_gradient(nu: float, m: int) -> np.ndarray:
@@ -39,12 +35,7 @@ def steering_gradient(nu: float, m: int) -> np.ndarray:
 
     Entry k equals 1j * k * exp(1j * k * nu).
     """
-    if m < 1:
-        raise ValueError(f"sensor count must be >= 1, got {m}")
-    if not math.isfinite(nu):
-        raise ValueError(f"spatial frequency must be finite, got {nu}")
-    k = np.arange(m)
-    return 1j * k * np.exp(1j * nu * k)
+    return 1j * np.arange(m) * steering_vector(nu, m)
 
 
 def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
@@ -55,15 +46,6 @@ def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
     if not np.isfinite(nu).all():
         raise ValueError("spatial frequencies must be finite")
     return np.exp(1j * (np.arange(m)[:, None] * nu))
-
-
-def spatial_frequency(theta: float, spacing_ratio: float = 0.5) -> float:
-    """Convert an arrival angle (radians) to a spatial frequency.
-
-    nu = 2*pi*(d/lambda)*sin(theta). With half-wavelength spacing the
-    result spans [-pi, pi] without ambiguity.
-    """
-    return 2.0 * math.pi * spacing_ratio * math.sin(theta)
 
 
 @dataclass(frozen=True)
@@ -115,32 +97,24 @@ class SourceScene:
 class Dictionary:
     """Steering dictionary over a uniform frequency grid.
 
-    grid[p] = nu_max * p / P for p = 0..P-1 and column p of A_ring is the
-    steering vector at grid[p], so every column has Euclidean norm sqrt(M).
+    grid[p] = nu_max * p / P for p = 0..P-1 and column p of the read-only
+    A_ring, built from (grid, M), is the steering vector at grid[p], so
+    every column has Euclidean norm sqrt(M).
     """
 
     grid: np.ndarray
-    A_ring: np.ndarray
+    M: int
+    A_ring: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
-        A = np.atleast_2d(np.asarray(self.A_ring, dtype=complex))
-        m, p = A.shape
-        if grid.size != p:
-            raise ValueError(f"grid has {grid.size} entries but A_ring has {p} columns")
-        if p < m:
-            raise ValueError(f"grid size P={p} must be at least the sensor count M={m}")
-        expected = steering_matrix(grid, m)
-        if not (np.abs(A - expected) <= 1e-9).all():
-            raise ValueError("A_ring columns must be steering vectors at the grid frequencies")
+        if grid.size < self.M:
+            raise ValueError(f"grid size P={grid.size} must be at least the sensor count M={self.M}")
+        A = steering_matrix(grid, self.M)
         grid.setflags(write=False)
         A.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "A_ring", A)
-
-    @property
-    def M(self) -> int:
-        return self.A_ring.shape[0]
 
     @property
     def P(self) -> int:
@@ -175,7 +149,7 @@ def build_dictionary(p: int, nu_max: float, m: int) -> Dictionary:
     if not nu_max > 0:
         raise ValueError(f"nu_max must be positive, got {nu_max}")
     grid = nu_max * np.arange(p) / p
-    return Dictionary(grid=grid, A_ring=steering_matrix(grid, m))
+    return Dictionary(grid=grid, M=m)
 
 
 def noise_scale_for_snr(signal_power: float, snr_db: float, noise_unit_power: float) -> float:

@@ -407,15 +407,16 @@ def _flat_fields() -> dict:
     """Flat config key -> (owning dataclass, resolved field type).
 
     Every SweepConfig field except the nested gomp and design settings is
-    a key, and so is every GompConfig and DesignConfig field; SweepConfig
-    comes last, so its seed wins over DesignConfig.seed, which is set per
-    run from the experiment seed.
+    a key, and so is every GompConfig and DesignConfig field except alpha,
+    which build_projection sets per run from alpha_candidates (or to inf
+    for gd_prior_b); SweepConfig comes last, so its seed wins over
+    DesignConfig.seed, which is set per run from the experiment seed.
     """
     keys = {}
     for owner in (GompConfig, DesignConfig, SweepConfig):
         hints = typing.get_type_hints(owner)
         keys.update((f.name, (owner, hints[f.name])) for f in fields(owner))
-    del keys["gomp"], keys["design"]
+    del keys["gomp"], keys["design"], keys["alpha"]
     return keys
 
 
@@ -427,7 +428,7 @@ def config_from_dict(data: dict) -> SweepConfig:
 
     Top-level keys mirror SweepConfig field names; the nested refinement
     and design settings use their own flat field names (i_max, j_max,
-    t_max, step_size, alpha, init). Each value is cast to its field's
+    t_max, step_size, init). Each value is cast to its field's
     annotated type: a scalar given for a tuple field becomes a 1-tuple,
     None is accepted only for optional fields, and a value that does not
     fit (including a non-integral number for an integer field) is rejected

@@ -97,10 +97,7 @@ def cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -100,7 +100,6 @@ class DesignTrace:
     final_phi: ProjectionMatrix
     step_per_iter: np.ndarray
     evals_per_iter: np.ndarray
-    alpha: float
     best_iter: int
 
     def __post_init__(self) -> None:
@@ -389,7 +388,6 @@ def design(
         final_phi=ProjectionMatrix(phi=best_phi),
         step_per_iter=np.array(steps),
         evals_per_iter=np.array(evals, dtype=int),
-        alpha=cfg.alpha,
         best_iter=best_iter,
     )
 

@@ -134,11 +134,11 @@ def test_config_constraint_messages():
 def test_config_from_dict_flat_keys():
     cfg = config_from_dict({
         "N": 4, "M": 8, "P": 16, "K": 2, "L": 4, "trials": 5, "seed": 3,
-        "i_max": 7, "j_max": 2, "t_max": 11, "step_size": 0.1, "alpha": 2.0,
+        "i_max": 7, "j_max": 2, "t_max": 11, "step_size": 0.1,
         "snr_grid_db": [0, 10], "projection_kind": "random",
     })
     assert cfg.gomp.i_max == 7 and cfg.gomp.j_max == 2
-    assert cfg.design.t_max == 11 and cfg.design.alpha == 2.0
+    assert cfg.design.t_max == 11 and cfg.design.step_size == 0.1
     assert cfg.snr_grid_db == (0.0, 10.0)
     assert cfg.projection_kind == "random"
 
@@ -146,6 +146,15 @@ def test_config_from_dict_flat_keys():
 def test_config_unknown_key_is_named():
     with pytest.raises(ValueError, match="snr_grid"):
         config_from_dict({"snr_grid": [0]})
+
+
+def test_alpha_is_not_a_config_key(tmp_path, capsys):
+    """build_projection sets DesignConfig.alpha on every design run, so an
+    alpha key would be read and then ignored; it is rejected instead."""
+    with pytest.raises(ValueError, match="config key 'alpha'"):
+        config_from_dict({"alpha": 2.0})
+    assert cli(["sweep", "--seed", "1", "--out", str(tmp_path / "x.csv"), "--set", "alpha=2"]) == 1
+    assert "config key 'alpha'" in capsys.readouterr().err
 
 
 def test_config_on_grid_casting():
@@ -157,7 +166,7 @@ def test_config_on_grid_casting():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("N", [4]), ("nu_max", None), ("alpha", None), ("K", "x"), ("i_max", 2.7),
+    ("N", [4]), ("nu_max", None), ("step_size", None), ("K", "x"), ("i_max", 2.7),
 ])
 def test_config_value_that_does_not_fit_is_named(key, value, capsys):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -169,10 +178,10 @@ def test_config_value_that_does_not_fit_is_named(key, value, capsys):
 def _flatten(cfg: SweepConfig) -> dict:
     """The flat keys of a config: every top-level field but the nested
     settings, plus every GompConfig and DesignConfig field but the design
-    seed (the experiment seed sets it)."""
+    seed and alpha (the experiment seed and build_projection set them)."""
     flat = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("gomp", "design")}
     flat.update(dataclasses.asdict(cfg.gomp))
-    flat.update({k: v for k, v in dataclasses.asdict(cfg.design).items() if k != "seed"})
+    flat.update({k: v for k, v in dataclasses.asdict(cfg.design).items() if k not in ("seed", "alpha")})
     return flat
 
 
@@ -210,13 +219,12 @@ def _sweep_configs(draw):
     design = dict(
         t_max=draw(st.integers(0, 500)),
         step_size=draw(_POSITIVE),
-        alpha=draw(st.floats(1.0, 10.0) | st.just(math.inf)),
         init=draw(st.sampled_from(("svd", "random"))),
     )
     # every flat key is drawn, so a new field fails here until it is covered
     assert top.keys() == _names(SweepConfig, "gomp", "design")
     assert gomp.keys() == _names(GompConfig)
-    assert design.keys() == _names(DesignConfig, "seed")
+    assert design.keys() == _names(DesignConfig, "seed", "alpha")
     return SweepConfig(gomp=GompConfig(**gomp), design=DesignConfig(**design), **top)
 
 

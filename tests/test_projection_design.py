@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gomp import projection_design
-from gomp.array_model import Dictionary, build_dictionary, steering_matrix
+from gomp.array_model import Dictionary, build_dictionary
 from gomp.projection_design import (
     DesignConfig,
     ProjectionMatrix,
@@ -210,7 +210,7 @@ def test_objective_duplicate_columns_value():
     """A dictionary with two identical steering columns gives the two-by-two
     Gram error [[0,1],[1,0]], so eta = 2 for any projection."""
     d = build_dictionary(2, 1.0, 2)
-    dup = Dictionary(grid=[0.0, 2 * np.pi], A_ring=steering_matrix([0.0, 2 * np.pi], 2))
+    dup = Dictionary(grid=[0.0, 2 * np.pi], M=2)
     phi = random_cm_projection(2, 2, seed=13)
     assert objective_eta(phi, dup) == pytest.approx(2.0, abs=1e-12)
     assert d.P == 2  # sanity: non-degenerate small dictionary builds fine
