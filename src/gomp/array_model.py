@@ -156,13 +156,16 @@ def noise_scale_for_snr(signal_power: float, snr_db: float, noise_unit_power: fl
     """Noise amplitude sigma achieving a target SNR.
 
     Returns sigma such that signal_power / (sigma^2 * noise_unit_power)
-    equals 10^(snr_db / 10). An infinite snr_db gives sigma = 0.
+    equals 10^(snr_db / 10). snr_db = inf gives sigma = 0; NaN and -inf
+    are rejected.
     """
     if signal_power < 0:
         raise ValueError(f"signal power must be nonnegative, got {signal_power}")
     if not noise_unit_power > 0:
         raise ValueError(f"unit noise power must be positive, got {noise_unit_power}")
-    if math.isinf(snr_db) and snr_db > 0:
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db must be a number above -inf, got {snr_db}")
+    if snr_db == math.inf:
         return 0.0
     return math.sqrt(signal_power / (noise_unit_power * 10.0 ** (snr_db / 10.0)))
 

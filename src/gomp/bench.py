@@ -16,7 +16,7 @@ import json
 import math
 import time
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,8 +86,12 @@ class SweepConfig:
             raise ValueError(f"constraint trials >= 1 violated (trials={self.trials})")
         if self.seed < 0:
             raise ValueError(f"constraint seed >= 0 violated (seed={self.seed})")
-        if not self.nu_max > 0:
-            raise ValueError(f"constraint nu_max > 0 violated (nu_max={self.nu_max})")
+        if not 0 < self.nu_max < math.inf:
+            raise ValueError(f"constraint 0 < nu_max < inf violated (nu_max={self.nu_max})")
+        if self.scene_nu_max is not None and not 0 < self.scene_nu_max < math.inf:
+            raise ValueError(f"constraint 0 < scene_nu_max < inf violated (scene_nu_max={self.scene_nu_max})")
+        if self.min_separation is not None and not 0 <= self.min_separation < math.inf:
+            raise ValueError(f"constraint 0 <= min_separation < inf violated (min_separation={self.min_separation})")
         if self.projection_kind not in PROJECTION_KINDS:
             raise ValueError(
                 f"projection_kind must be one of {PROJECTION_KINDS}, got {self.projection_kind!r}"
@@ -97,6 +101,17 @@ class SweepConfig:
                 raise ValueError(f"methods entry {kind!r} not in {PROJECTION_KINDS}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
+        for snr in self.snr_grid_db:
+            if not snr > -math.inf:
+                raise ValueError(f"snr_grid_db entry {snr} is not a number above -inf")
+        if not self.alpha_candidates:
+            raise ValueError("alpha_candidates must not be empty")
+        for alpha in self.alpha_candidates:
+            if not alpha >= 1:
+                raise ValueError(f"alpha_candidates entry {alpha} violates alpha >= 1")
+        for p in self.p_grid or ():
+            if p < self.M:
+                raise ValueError(f"p_grid entry {p} is below the sensor count M={self.M}")
 
     @property
     def scene_bound(self) -> float:
@@ -224,18 +239,17 @@ def build_projection(kind: str, dictionary: Dictionary, cfg: SweepConfig, seed: 
     if kind not in PROJECTION_KINDS:
         raise ValueError(f"unknown projection kind {kind!r}")
     seed = cfg.seed if seed is None else seed
-    dcfg = replace(cfg.design, seed=seed)
     if kind == "dft":
         return dft_projection(cfg.N, dictionary.M), None
     if kind == "random":
         return random_cm_projection(cfg.N, dictionary.M, seed), None
-    phi0 = initial_projection(dictionary, cfg.N, dcfg)
+    phi0 = initial_projection(dictionary, cfg.N, cfg.design, seed)
     if kind == "designed":
-        trace = design_with_alpha_sweep(dictionary, dcfg, phi0, cfg.alpha_candidates)
+        trace = design_with_alpha_sweep(dictionary, cfg.design, phi0, cfg.alpha_candidates)
     elif kind == "gd_prior_a":
-        trace = design_with_alpha_sweep(dictionary, dcfg, phi0, cfg.alpha_candidates, embed_unit_norm=False)
+        trace = design_with_alpha_sweep(dictionary, cfg.design, phi0, cfg.alpha_candidates, embed_unit_norm=False)
     else:  # gd_prior_b
-        trace = design(dictionary, replace(dcfg, alpha=math.inf), phi0)
+        trace = design(dictionary, cfg.design, phi0, alpha=math.inf)
     return trace.final_phi, trace
 
 
@@ -406,17 +420,14 @@ def write_measurements_csv(y: np.ndarray, path) -> None:
 def _flat_fields() -> dict:
     """Flat config key -> (owning dataclass, resolved field type).
 
-    Every SweepConfig field except the nested gomp and design settings is
-    a key, and so is every GompConfig and DesignConfig field except alpha,
-    which build_projection sets per run from alpha_candidates (or to inf
-    for gd_prior_b); SweepConfig comes last, so its seed wins over
-    DesignConfig.seed, which is set per run from the experiment seed.
+    Every field of SweepConfig, GompConfig and DesignConfig is a key,
+    except SweepConfig's nested gomp and design settings.
     """
     keys = {}
     for owner in (GompConfig, DesignConfig, SweepConfig):
         hints = typing.get_type_hints(owner)
         keys.update((f.name, (owner, hints[f.name])) for f in fields(owner))
-    del keys["gomp"], keys["design"], keys["alpha"]
+    del keys["gomp"], keys["design"]
     return keys
 
 

@@ -15,7 +15,7 @@ or when the step budget is spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,7 +235,7 @@ def refine_single(
     history) where history is the strictly decreasing sequence of
     accepted residual values, starting with the residual of (nu0, x0).
     """
-    result = refine_multi(y, phi, [nu0], np.asarray(x0)[None, :], replace(cfg, j_max=1))
+    result = refine_multi(y, phi, [nu0], np.asarray(x0)[None, :], GompConfig(i_max=cfg.i_max, j_max=1))
     return float(result.nu_hat[0]), result.X_hat[0], result.histories[0]
 
 

@@ -18,7 +18,7 @@ DFT-row and random-phase baselines are included for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,11 @@ class DesignConfig:
     t_max is the iteration budget; step_size is the initial step, which the
     designer halves (up to 20 times per iteration) whenever the trial step
     increases eta before re-projection, and doubles after an iteration that
-    needed no halving. alpha >= 1 relaxes the shrinkage threshold
-    alpha * welch_bound; alpha = inf disables shrinking entirely (the raw
-    Gram error is used), which reproduces the plain constant-modulus
-    extension of the unit-norm-embedded descent. seed drives the random
-    initialization fallback.
+    needed no halving. init picks the start (see initial_projection).
     """
 
     t_max: int = 200
     step_size: float = 0.05
-    alpha: float = 1.0
-    seed: int = 0
     init: str = "svd"
 
     def __post_init__(self) -> None:
@@ -76,8 +70,6 @@ class DesignConfig:
             raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
         if not self.step_size > 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if not self.alpha >= 1:
-            raise ValueError(f"alpha >= 1 required, got {self.alpha}")
         if self.init not in ("svd", "random"):
             raise ValueError(f"init must be 'svd' or 'random', got {self.init!r}")
 
@@ -289,20 +281,21 @@ def svd_projection(dictionary: Dictionary, n: int) -> ProjectionMatrix:
     return ProjectionMatrix(phi=cm_project(u[:, :n].conj().T))
 
 
-def initial_projection(dictionary: Dictionary, n: int, cfg: DesignConfig) -> ProjectionMatrix:
-    """Starting point for the designer per cfg.init.
+def initial_projection(dictionary: Dictionary, n: int, cfg: DesignConfig, seed: int = 0) -> ProjectionMatrix:
+    """Starting point for the designer per cfg.init; seed drives the random
+    phases.
 
     The SVD start falls back to random phases when it leaves Phi @ A_ring
     with a (near-)zero column or fully parallel columns, which happens for
     degenerate dictionaries where the singular basis is arbitrary.
     """
     if cfg.init == "random":
-        return random_cm_projection(n, dictionary.M, cfg.seed)
+        return random_cm_projection(n, dictionary.M, seed)
     phi = svd_projection(dictionary, n)
     q = phi.phi @ dictionary.A_ring
     norms = np.linalg.norm(q, axis=0)
     if norms.min() <= 1e-9 * norms.max() or mutual_coherence(q) > 1.0 - 1e-9:
-        return random_cm_projection(n, dictionary.M, cfg.seed)
+        return random_cm_projection(n, dictionary.M, seed)
     return phi
 
 
@@ -310,15 +303,18 @@ def design(
     dictionary: Dictionary,
     cfg: DesignConfig,
     phi0: ProjectionMatrix,
+    alpha: float = 1.0,
     embed_unit_norm: bool = True,
 ) -> DesignTrace:
     """Projected gradient descent on eta with shrunk Gram error.
 
     Each iteration computes the Gram error E of the current iterate,
-    shrinks it at alpha * welch_bound (skipped when alpha is infinite),
-    steps along the resulting descent direction with a backtracking line
-    search on eta evaluated before re-projection, and projects back onto
-    the constant-modulus manifold. Coherence and eta are recorded at the
+    shrinks it at alpha * welch_bound (alpha >= 1 relaxes the threshold;
+    alpha = inf skips the shrink and uses the raw Gram error, which
+    reproduces the plain constant-modulus extension of the
+    unit-norm-embedded descent), steps along the resulting descent
+    direction with a backtracking line search on eta evaluated before
+    re-projection, and projects back onto the constant-modulus manifold. Coherence and eta are recorded at the
     start and after every iteration; the returned matrix is the best
     iterate by coherence.
 
@@ -338,11 +334,13 @@ def design(
     reproduces the baseline that imposes unit norms after each update
     instead of inside the objective.
     """
+    if not alpha >= 1:
+        raise ValueError(f"alpha >= 1 required, got {alpha}")
     a = dictionary.A_ring
     ah = a.conj().T
     phi = np.array(phi0, dtype=complex)
     beta = welch_bound(phi.shape[0], dictionary.P)
-    shrink = math.isfinite(cfg.alpha)
+    shrink = math.isfinite(alpha)
 
     def state_at(phi):
         q, d, s, e = _gram_state(phi, a)
@@ -356,7 +354,7 @@ def design(
     for t in range(cfg.t_max + 1):
         if t:
             step, halvings = base, 0
-            if shrink and e_max <= cfg.alpha * beta:  # stationary: the try at Phi itself is accepted
+            if shrink and e_max <= alpha * beta:  # stationary: the try at Phi itself is accepted
                 phi = cm_project(phi)
                 evals.append(0)
                 key = phi.tobytes()
@@ -364,7 +362,7 @@ def design(
                 if state is None:
                     state = state_at(phi)
             else:
-                e_used = shrink_error(e, cfg.alpha, beta) if shrink else e
+                e_used = shrink_error(e, alpha, beta) if shrink else e
                 grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
                 z = phi - step * grad
                 while halvings < 20 and _frame_eta(*_columns(z, a)) > eta:
@@ -406,7 +404,7 @@ def design_with_alpha_sweep(
         raise ValueError("need at least one alpha candidate")
     best: DesignTrace | None = None
     for alpha in alphas:
-        trace = design(dictionary, replace(cfg, alpha=alpha), phi0, embed_unit_norm=embed_unit_norm)
+        trace = design(dictionary, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm)
         if best is None or trace.final_coherence < best.final_coherence:
             best = trace
     return best

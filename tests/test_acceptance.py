@@ -18,7 +18,6 @@ frozen here; tolerances are stated inline.
 
 import math
 import time
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +55,7 @@ from gomp.projection_design import (
 @lru_cache(maxsize=None)
 def _designed(n, m, p):
     d = build_dictionary(p, 2 * np.pi, m)
-    cfg = DesignConfig(t_max=200, seed=0)
+    cfg = DesignConfig(t_max=200)
     trace = design_with_alpha_sweep(d, cfg, initial_projection(d, n, cfg))
     return trace.final_phi, d, trace.final_coherence
 
@@ -108,7 +107,7 @@ def test_criterion_2_welch_bound_analytics():
     for p in (64, 128):
         d = build_dictionary(p, 2 * np.pi, 64)
         cfg = SweepConfig(N=16, M=64, P=p, K=1, L=4, trials=1,
-                          design=DesignConfig(t_max=50, seed=0))
+                          design=DesignConfig(t_max=50))
         for kind in ("designed", "dft", "random", "gd_prior_a", "gd_prior_b"):
             phi, _ = build_projection(kind, d, cfg)
             mu = mutual_coherence(phi.phi @ d.A_ring)
@@ -135,16 +134,16 @@ def test_criterion_3_coherence_ordering():
     default SVD start must beat the same baselines. The no-shrink ablation
     is design() with alpha = inf from the same start."""
 
-    def designed_and_no_shrink(d, cfg):
-        phi0 = initial_projection(d, 16, cfg)
+    def designed_and_no_shrink(d, cfg, seed=0):
+        phi0 = initial_projection(d, 16, cfg, seed)
         return (design_with_alpha_sweep(d, cfg, phi0).final_coherence,
-                design(d, replace(cfg, alpha=math.inf), phi0).final_coherence)
+                design(d, cfg, phi0, alpha=math.inf).final_coherence)
 
     start = time.monotonic()
     lines = []
     for p in (64, 128):
         d = build_dictionary(p, 2 * np.pi, 64)
-        runs = [designed_and_no_shrink(d, DesignConfig(t_max=200, seed=seed, init="random"))
+        runs = [designed_and_no_shrink(d, DesignConfig(t_max=200, init="random"), seed)
                 for seed in range(10)]
         designed, no_shrink = zip(*runs)
         rand = [mutual_coherence(random_cm_projection(16, 64, seed=seed).phi @ d.A_ring)
@@ -275,13 +274,13 @@ def test_criterion_7_sampling_error_floor():
                         snr_grid_db=(np.inf,),
                         scene_nu_max=2 * np.pi - 2 * np.pi / 128,
                         gomp=GompConfig(i_max=2, j_max=1),
-                        design=DesignConfig(t_max=200, seed=0))),
+                        design=DesignConfig(t_max=200))),
         (5, SweepConfig(N=48, M=64, P=128, K=5, L=64, trials=600, seed=108,
                         snr_grid_db=(np.inf,),
                         scene_nu_max=2 * np.pi - 2 * np.pi / 128,
                         min_separation=6 * 2 * np.pi / 128,
                         gomp=GompConfig(i_max=2, j_max=1),
-                        design=DesignConfig(t_max=200, seed=0))),
+                        design=DesignConfig(t_max=200))),
     ]
     summary = []
     for k, cfg in cases:
@@ -304,7 +303,7 @@ def test_criterion_8_fig3_qualitative_reproduction():
                       snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0),
                       nu_max=2 * np.pi * 15 / 64,
                       gomp=GompConfig(i_max=10, j_max=5),
-                      design=DesignConfig(t_max=200, seed=0))
+                      design=DesignConfig(t_max=200))
     result = run_mse_sweep(cfg)
     rows = sorted(result.rows, key=lambda r: r.snr_db)
     ongrid = np.array([r.mse_ongrid for r in rows])
@@ -331,7 +330,7 @@ def test_criterion_9_determinism(tmp_path):
     sweep_cfg = SweepConfig(N=8, M=16, P=32, K=2, L=4, trials=5, seed=110,
                             snr_grid_db=(5.0, 15.0), projection_kind="random",
                             gomp=GompConfig(i_max=3, j_max=2),
-                            design=DesignConfig(t_max=10, seed=0))
+                            design=DesignConfig(t_max=10))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_mse_sweep(sweep_cfg), a)
     emit_csv(run_mse_sweep(sweep_cfg), b)
@@ -339,7 +338,7 @@ def test_criterion_9_determinism(tmp_path):
 
     coh_cfg = SweepConfig(N=4, M=8, P=16, K=1, L=4, trials=1, seed=111,
                           methods=("designed", "dft", "random", "gd_prior_b"),
-                          design=DesignConfig(t_max=15, seed=0))
+                          design=DesignConfig(t_max=15))
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     emit_csv(run_coherence_experiment(coh_cfg), c)
     emit_csv(run_coherence_experiment(coh_cfg), d)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gomp import bench
 from gomp.bench import (
     CoherenceResult,
     SweepConfig,
@@ -149,12 +150,23 @@ def test_config_unknown_key_is_named():
 
 
 def test_alpha_is_not_a_config_key(tmp_path, capsys):
-    """build_projection sets DesignConfig.alpha on every design run, so an
-    alpha key would be read and then ignored; it is rejected instead."""
+    """alpha is an argument of design(), which build_projection takes from
+    alpha_candidates (or sets to inf for gd_prior_b); it is no config
+    field, so an alpha key is rejected."""
     with pytest.raises(ValueError, match="config key 'alpha'"):
         config_from_dict({"alpha": 2.0})
     assert cli(["sweep", "--seed", "1", "--out", str(tmp_path / "x.csv"), "--set", "alpha=2"]) == 1
     assert "config key 'alpha'" in capsys.readouterr().err
+
+
+def test_flat_keys_are_exactly_the_config_fields():
+    """Every field of SweepConfig (less the nested gomp and design), of
+    GompConfig and of DesignConfig is a flat key, nothing else is, and no
+    two of these classes share a field name, so no key needs a precedence
+    rule."""
+    owned = [_names(SweepConfig, "gomp", "design"), _names(GompConfig), _names(DesignConfig)]
+    assert set(bench._FLAT_FIELDS) == set().union(*owned)
+    assert sum(map(len, owned)) == len(bench._FLAT_FIELDS) == 21
 
 
 def test_config_on_grid_casting():
@@ -177,11 +189,10 @@ def test_config_value_that_does_not_fit_is_named(key, value, capsys):
 
 def _flatten(cfg: SweepConfig) -> dict:
     """The flat keys of a config: every top-level field but the nested
-    settings, plus every GompConfig and DesignConfig field but the design
-    seed and alpha (the experiment seed and build_projection set them)."""
+    settings, plus every GompConfig and DesignConfig field."""
     flat = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("gomp", "design")}
     flat.update(dataclasses.asdict(cfg.gomp))
-    flat.update({k: v for k, v in dataclasses.asdict(cfg.design).items() if k not in ("seed", "alpha")})
+    flat.update(dataclasses.asdict(cfg.design))
     return flat
 
 
@@ -212,7 +223,7 @@ def _sweep_configs(draw):
         min_separation=draw(st.none() | _POSITIVE),
         on_grid=draw(st.booleans()),
         alpha_candidates=draw(tuples(st.floats(1.0, 10.0) | st.just(math.inf))),
-        p_grid=draw(st.none() | tuples(st.integers(1, 512))),
+        p_grid=draw(st.none() | tuples(st.integers(m, 512))),
         methods=draw(tuples(_KINDS)),
     )
     gomp = dict(i_max=draw(st.integers(1, 50)), j_max=draw(st.integers(1, 20)))
@@ -224,7 +235,7 @@ def _sweep_configs(draw):
     # every flat key is drawn, so a new field fails here until it is covered
     assert top.keys() == _names(SweepConfig, "gomp", "design")
     assert gomp.keys() == _names(GompConfig)
-    assert design.keys() == _names(DesignConfig, "seed", "alpha")
+    assert design.keys() == _names(DesignConfig)
     return SweepConfig(gomp=GompConfig(**gomp), design=DesignConfig(**design), **top)
 
 

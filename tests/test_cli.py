@@ -64,6 +64,27 @@ def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
     assert "K <= N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nu_max", "Infinity"),
+    ("scene_nu_max", "NaN"),
+    ("scene_nu_max", "-1"),
+    ("min_separation", "-1"),
+    ("snr_grid_db", "[NaN]"),
+    ("snr_grid_db", "[-Infinity]"),
+    ("alpha_candidates", "[]"),
+    ("alpha_candidates", "[0.5]"),
+    ("p_grid", "[4]"),
+])
+def test_bad_config_value_fails_at_load_and_names_key(tmp_path, capsys, key, value):
+    """Values that would fail or mislead only once an experiment runs are
+    rejected when the config is built (N=4, M=8, P=16)."""
+    cfg = _write_cfg(tmp_path, trials=1, t_max=2)
+    rc = cli(["sweep", "--config", cfg, "--seed", "1", "--out",
+              str(tmp_path / "x.csv"), "--set", f"{key}={value}"])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_flag_fails_usage(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     rc = cli(["sweep", "--config", cfg, "--seed", "1", "--out",

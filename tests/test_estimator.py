@@ -39,7 +39,7 @@ from gomp.projection_design import (
 def _designed_phi(n, m, p):
     """Shared low-coherence projection for recovery tests."""
     d = build_dictionary(p, 2 * np.pi, m)
-    cfg = DesignConfig(t_max=200, seed=0)
+    cfg = DesignConfig(t_max=200)
     phi = design_with_alpha_sweep(d, cfg, initial_projection(d, n, cfg)).final_phi
     return phi, d
 
@@ -674,7 +674,7 @@ def test_estimate_refinement_beats_on_grid_start_at_20db():
     cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=100, seed=77,
                       snr_grid_db=(20.0,), nu_max=nu_max,
                       gomp=GompConfig(i_max=10, j_max=5),
-                      design=DesignConfig(t_max=200, seed=0))
+                      design=DesignConfig(t_max=200))
     d = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection("designed", d, cfg)
     ula = UlaConfig(M=cfg.M)
@@ -701,7 +701,7 @@ def test_estimate_stalls_within_budget_at_20db():
     cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=40, seed=11,
                       snr_grid_db=(20.0,), nu_max=2 * np.pi * 15 / 64,
                       gomp=GompConfig(i_max=10, j_max=5),
-                      design=DesignConfig(t_max=200, seed=0))
+                      design=DesignConfig(t_max=200))
     d = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection("designed", d, cfg)
     ula = UlaConfig(M=cfg.M)

@@ -313,6 +313,14 @@ def test_zero_column_rejected_by_objective_gradient_and_design():
         design(d, DesignConfig(t_max=3), phi)
 
 
+@pytest.mark.parametrize("alpha", [0.5, np.nan])
+def test_design_rejects_alpha_below_one_or_nan(alpha):
+    d = build_dictionary(32, 2 * np.pi, 16)
+    cfg = DesignConfig(t_max=3)
+    with pytest.raises(ValueError, match="alpha >= 1 required"):
+        design(d, cfg, initial_projection(d, 4, cfg), alpha=alpha)
+
+
 def test_gradient_is_descent_direction():
     rng = np.random.default_rng(11)
     n_desc = 0
@@ -374,7 +382,7 @@ def test_design_zero_iterations_returns_start():
     )
 
 
-def _reference_design(d, cfg, phi0, embed_unit_norm=True):
+def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True):
     """The design loop spelled out with the public kernels and no shortcut:
     at every iterate a fresh Gram error, its shrunk version, the direction
     gradient_eta (only its first term 4 Q D E D A^H, from _descent, without
@@ -394,7 +402,7 @@ def _reference_design(d, cfg, phi0, embed_unit_norm=True):
     best_phi, best_iter = phi, 0
     base = cfg.step_size
     for t in range(1, cfg.t_max + 1):
-        e_used = shrink_error(e, cfg.alpha, beta) if np.isfinite(cfg.alpha) else e
+        e_used = shrink_error(e, alpha, beta) if np.isfinite(alpha) else e
         if embed_unit_norm:
             grad = gradient_eta(phi, d, e_used)
         else:
@@ -428,10 +436,10 @@ def test_design_equals_public_kernel_loop(alpha):
     """design() runs the verified objective and gradient: its trace and
     final Phi equal, bitwise, a loop built from the public kernels."""
     d = build_dictionary(32, 2 * np.pi * 0.7, 16)
-    cfg = DesignConfig(t_max=15, step_size=5.0, alpha=alpha)  # a large start forces halvings
+    cfg = DesignConfig(t_max=15, step_size=5.0)  # a large start forces halvings
     phi0 = initial_projection(d, 4, cfg)
-    trace = design(d, cfg, phi0)
-    reference = _reference_design(d, cfg, phi0)
+    trace = design(d, cfg, phi0, alpha=alpha)
+    reference = _reference_design(d, cfg, phi0, alpha)
     assert len(set(reference[2])) > 2  # both the halving and the doubling rule ran
     _assert_trace_equals_reference(trace, reference)
 
@@ -452,10 +460,10 @@ def test_design_equals_reference_loop(grid, alpha, embed_unit_norm, init):
     states leave every output bitwise equal to the loop that runs each
     iteration in full."""
     d = build_dictionary(64, DESIGN_GRIDS[grid], 64)
-    cfg = DesignConfig(t_max=8, alpha=alpha, init=init)
+    cfg = DesignConfig(t_max=8, init=init)
     phi0 = initial_projection(d, 16, cfg)
-    trace = design(d, cfg, phi0, embed_unit_norm=embed_unit_norm)
-    _assert_trace_equals_reference(trace, _reference_design(d, cfg, phi0, embed_unit_norm))
+    trace = design(d, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm)
+    _assert_trace_equals_reference(trace, _reference_design(d, cfg, phi0, alpha, embed_unit_norm))
     assert trace.evals_per_iter.shape == (cfg.t_max,)
     if alpha == 5.0:
         assert not trace.evals_per_iter.any()
@@ -490,7 +498,7 @@ def test_design_evals_per_iter_counts_line_search_work(alpha, monkeypatch):
     stationary throughout, so Phi only runs through cm_project, makes no
     evaluation, and computes fresh states until it cycles."""
     d = build_dictionary(64, FIG3_NU_MAX, 64)
-    cfg = DesignConfig(t_max=12, alpha=alpha)
+    cfg = DesignConfig(t_max=12)
     phi0 = initial_projection(d, 16, cfg)
     chain = [phi0.phi]
     for _ in range(cfg.t_max):
@@ -500,7 +508,7 @@ def test_design_evals_per_iter_counts_line_search_work(alpha, monkeypatch):
         if chain[t].tobytes() in (chain[t - 1].tobytes(), chain[t - 2].tobytes())
     ]
     calls = _count_column_norms(monkeypatch)
-    trace = design(d, cfg, phi0)
+    trace = design(d, cfg, phi0, alpha=alpha)
     if alpha == 1.0:
         assert np.all(trace.evals_per_iter >= 1)
         fresh = cfg.t_max
@@ -517,8 +525,8 @@ def test_design_line_search_cost():
     iteration at the Fig.-1 point (1.525 with alpha = 1); a line search that
     rejects most trial steps shows here."""
     d = build_dictionary(64, 2 * np.pi, 64)
-    cfg = DesignConfig(t_max=200, alpha=1.0)
-    trace = design(d, cfg, initial_projection(d, 16, cfg))
+    cfg = DesignConfig(t_max=200)
+    trace = design(d, cfg, initial_projection(d, 16, cfg), alpha=1.0)
     evals = trace.evals_per_iter
     assert len(evals) == cfg.t_max
     print(f"\n  line-search evaluations per iteration: {np.mean(evals):.3f}")
@@ -527,7 +535,7 @@ def test_design_line_search_cost():
 
 def test_design_improves_on_start():
     d = build_dictionary(64, 2 * np.pi, 64)
-    cfg = DesignConfig(t_max=200, seed=0)
+    cfg = DesignConfig(t_max=200)
     phi0 = initial_projection(d, 16, cfg)
     trace = design(d, cfg, phi0)
     assert trace.final_coherence < trace.initial_coherence
