@@ -156,8 +156,8 @@ def noise_scale_for_snr(signal_power: float, snr_db: float, noise_unit_power: fl
     """Noise amplitude sigma achieving a target SNR.
 
     Returns sigma such that signal_power / (sigma^2 * noise_unit_power)
-    equals 10^(snr_db / 10). snr_db = inf gives sigma = 0; NaN and -inf
-    are rejected.
+    equals 10^(snr_db / 10). snr_db = inf gives sigma = 0; NaN, -inf and
+    values for which sigma leaves the float range are rejected.
     """
     if signal_power < 0:
         raise ValueError(f"signal power must be nonnegative, got {signal_power}")
@@ -167,7 +167,13 @@ def noise_scale_for_snr(signal_power: float, snr_db: float, noise_unit_power: fl
         raise ValueError(f"snr_db must be a number above -inf, got {snr_db}")
     if snr_db == math.inf:
         return 0.0
-    return math.sqrt(signal_power / (noise_unit_power * 10.0 ** (snr_db / 10.0)))
+    try:
+        sigma = math.sqrt(signal_power / (noise_unit_power * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not math.isfinite(sigma):
+        raise ValueError(f"snr_db {snr_db} is outside the float range: 10^(snr_db / 10) gives no finite noise scale")
+    return sigma
 
 
 def synthesize_measurements(

@@ -25,6 +25,7 @@ from .array_model import (
     SourceScene,
     UlaConfig,
     build_dictionary,
+    noise_scale_for_snr,
     synthesize_measurements,
 )
 from .estimator import GompConfig, estimate
@@ -48,8 +49,7 @@ class SweepConfig:
 
     scene_nu_max bounds the drawn source frequencies (defaults to nu_max);
     min_separation is the smallest allowed pairwise source gap (defaults
-    to two grid cells, 2 * nu_max / P). on_grid snaps drawn frequencies to
-    the nearest grid point, for noiseless exactness checks.
+    to two grid cells, 2 * nu_max / P).
     """
 
     N: int = 16
@@ -64,7 +64,6 @@ class SweepConfig:
     nu_max: float = 2.0 * math.pi
     scene_nu_max: float | None = None
     min_separation: float | None = None
-    on_grid: bool = False
     gomp: GompConfig = field(default_factory=GompConfig)
     design: DesignConfig = field(default_factory=DesignConfig)
     alpha_candidates: tuple[float, ...] = DEFAULT_ALPHAS
@@ -78,6 +77,7 @@ class SweepConfig:
             raise ValueError(f"constraint N <= M violated (N={self.N}, M={self.M})")
         if not self.M <= self.P:
             raise ValueError(f"constraint M <= P violated (M={self.M}, P={self.P})")
+        UlaConfig(M=self.M)
         if self.K < 1:
             raise ValueError(f"constraint K >= 1 violated (K={self.K})")
         if self.L < 1:
@@ -102,8 +102,10 @@ class SweepConfig:
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
         for snr in self.snr_grid_db:
-            if not snr > -math.inf:
-                raise ValueError(f"snr_grid_db entry {snr} is not a number above -inf")
+            try:
+                noise_scale_for_snr(1.0, snr, 1.0)
+            except ValueError as exc:
+                raise ValueError(f"snr_grid_db entry {snr}: {exc}") from None
         if not self.alpha_candidates:
             raise ValueError("alpha_candidates must not be empty")
         for alpha in self.alpha_candidates:
@@ -220,9 +222,6 @@ def draw_scene(cfg: SweepConfig, trial_seed: int) -> SourceScene:
             break
     if nu is None:
         raise ValueError("separation constraint not satisfied after 10000 redraws")
-    if cfg.on_grid:
-        grid = cfg.nu_max * np.arange(cfg.P) / cfg.P
-        nu = grid[np.argmin(np.abs(nu[:, None] - grid[None, :]), axis=1)]
     x = (rng.standard_normal((cfg.K, cfg.L)) + 1j * rng.standard_normal((cfg.K, cfg.L))) / np.sqrt(2.0)
     return SourceScene(nu=nu, X=x)
 
@@ -462,7 +461,7 @@ def config_from_dict(data: dict) -> SweepConfig:
 
 def _cast(hint, value):
     """Cast a JSON value to a config field type: T, T | None or tuple[T, ...]
-    with T one of bool, int, float, str."""
+    with T one of int, float, str. No field takes a boolean."""
     if type(None) in typing.get_args(hint):
         if value is None:
             return None
@@ -470,20 +469,11 @@ def _cast(hint, value):
     if typing.get_origin(hint) is tuple:
         seq = value if isinstance(value, (list, tuple)) else [value]
         return tuple(_cast(typing.get_args(hint)[0], v) for v in seq)
-    if hint is bool:
-        return _cast_bool(value)
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a config value")
     if hint is int and isinstance(value, float) and not value.is_integer():
         raise ValueError("non-integral value")
     return hint(value)
-
-
-def _cast_bool(value) -> bool:
-    """A JSON boolean, or "true"/"false" in any case; bool("false") is True."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise ValueError("not a boolean")
 
 
 def load_config(path, overrides: dict | None = None) -> SweepConfig:

@@ -143,7 +143,6 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("sensing matrix has a zero column")
     residual = y
     chosen: list[int] = []
-    coeffs = np.zeros((0, y.shape[1]), dtype=complex)
     for _ in range(k):
         # psi^T conj(R) is the conjugate of psi^H R; forming it spares a
         # conjugated copy of psi, and numpy's matmul is slower on that copy
@@ -186,7 +185,7 @@ def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     return _fit(y, np.asarray(phi, dtype=complex), [nu], np.asarray(x, dtype=complex)[None, :])[4]
 
 
-def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
+def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Real frequency corrections from the linearized steering model.
 
     The vectorized least-squares problem of the paper for all K sources
@@ -204,13 +203,10 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
     step: the real delta of min ||R - sum_k delta_k u_k x_k^T - V dX||
     over delta and dX, for any X, not only the least-squares fit.
 
-    1-D u (length N) and x (length L) give the single-source step as a
-    float; U (N, K) and X (K, L) give the K-vector. Raises ValueError,
-    naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2 is zero.
+    Takes U (N, K) and X (K, L) and returns the K-vector. Raises
+    ValueError, naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2
+    is zero.
     """
-    single = np.ndim(u) == 1
-    u = u.reshape(u.shape[0], -1)
-    x = np.atleast_2d(x)
     u_h, x_c = u.conj().T, x.conj()
     gram = ((u_h @ u) * (x_c @ x.T)).real
     diag = gram.diagonal()
@@ -219,8 +215,7 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray):
                          "(projected) gradient response is zero; delta is unidentifiable")
     b = (u_h.T * (resid @ x_c.T)).sum(axis=0).real
     # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
-    delta = b / diag if b.size == 1 else np.linalg.solve(gram, b)
-    return float(delta[0]) if single else delta
+    return b / diag if b.size == 1 else np.linalg.solve(gram, b)
 
 
 def refine_single(

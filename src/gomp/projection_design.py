@@ -272,26 +272,22 @@ def random_cm_projection(n: int, m: int, seed: int) -> ProjectionMatrix:
     return ProjectionMatrix(phi=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, m))))
 
 
-def svd_projection(dictionary: Dictionary, n: int) -> ProjectionMatrix:
-    """Dictionary-aware start: the N principal left-singular-vector rows of
-    A_ring, pushed onto the unit circle entry-wise."""
-    if n < 1 or n > dictionary.M:
-        raise ValueError(f"need 1 <= N <= M, got N={n}, M={dictionary.M}")
-    u = np.linalg.svd(dictionary.A_ring, full_matrices=False)[0]
-    return ProjectionMatrix(phi=cm_project(u[:, :n].conj().T))
-
-
 def initial_projection(dictionary: Dictionary, n: int, cfg: DesignConfig, seed: int = 0) -> ProjectionMatrix:
     """Starting point for the designer per cfg.init; seed drives the random
     phases.
 
-    The SVD start falls back to random phases when it leaves Phi @ A_ring
-    with a (near-)zero column or fully parallel columns, which happens for
-    degenerate dictionaries where the singular basis is arbitrary.
+    The SVD start is dictionary-aware: the N principal left-singular-vector
+    rows of A_ring, pushed onto the unit circle entry-wise. It falls back
+    to random phases when it leaves Phi @ A_ring with a (near-)zero column
+    or fully parallel columns, which happens for degenerate dictionaries
+    where the singular basis is arbitrary.
     """
     if cfg.init == "random":
         return random_cm_projection(n, dictionary.M, seed)
-    phi = svd_projection(dictionary, n)
+    if n < 1 or n > dictionary.M:
+        raise ValueError(f"need 1 <= N <= M, got N={n}, M={dictionary.M}")
+    u = np.linalg.svd(dictionary.A_ring, full_matrices=False)[0]
+    phi = ProjectionMatrix(phi=cm_project(u[:, :n].conj().T))
     q = phi.phi @ dictionary.A_ring
     norms = np.linalg.norm(q, axis=0)
     if norms.min() <= 1e-9 * norms.max() or mutual_coherence(q) > 1.0 - 1e-9:

@@ -166,7 +166,7 @@ def test_noise_scale_rejects_bad_input():
         noise_scale_for_snr(1.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+@pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -4000.0, 4000.0])
 def test_noise_scale_rejects_nan_and_minus_inf_snr(snr_db):
     with pytest.raises(ValueError, match="snr_db"):
         noise_scale_for_snr(1.0, snr_db, 1.0)

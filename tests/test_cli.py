@@ -71,6 +71,11 @@ def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
     ("min_separation", "-1"),
     ("snr_grid_db", "[NaN]"),
     ("snr_grid_db", "[-Infinity]"),
+    ("snr_grid_db", "[-4000]"),
+    ("snr_grid_db", "[4000]"),
+    ("snr_grid_db", "[true]"),
+    ("trials", "true"),
+    ("N", "true"),
     ("alpha_candidates", "[]"),
     ("alpha_candidates", "[0.5]"),
     ("p_grid", "[4]"),
@@ -83,6 +88,22 @@ def test_bad_config_value_fails_at_load_and_names_key(tmp_path, capsys, key, val
               str(tmp_path / "x.csv"), "--set", f"{key}={value}"])
     assert rc == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, sizes", [
+    ("design", "N=1,M=1,P=1,K=1"),
+    ("design", "N=1,M=1,P=4,K=1"),
+    ("sweep", "N=1,M=1,P=4,K=1"),
+])
+def test_single_sensor_fails_at_load(tmp_path, capsys, command, sizes):
+    """A one-sensor array (M=1) has no two columns to design or refine
+    with; it is a configuration error, not a runtime failure."""
+    cfg = _write_cfg(tmp_path, trials=1, t_max=2)
+    overrides = [arg for size in sizes.split(",") for arg in ("--set", size)]
+    rc = cli([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "x.csv"), *overrides])
+    assert rc == 1
+    assert "M >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unknown_flag_fails_usage(tmp_path, capsys):

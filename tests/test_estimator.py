@@ -201,7 +201,7 @@ def _step(y, phi, nu, x):
     projected steering gradient Phi g(nu)."""
     m = phi.shape[1]
     resid = y - np.outer(phi @ steering_vector(nu, m), x)
-    return delta_step(resid, phi @ steering_gradient(nu, m), x)
+    return delta_step(resid, (phi @ steering_gradient(nu, m))[:, None], x[None, :])[0]
 
 
 def test_delta_zero_at_exact_frequency():
@@ -412,7 +412,7 @@ def test_refine_single_equals_public_kernel_loop():
             vg = phi @ steering_gradient(nu, m)[:, None]
             w = v[:, None] / np.sqrt(np.vdot(v, v).real)
             resid = y - np.outer(v, x)
-            nu_new = nu + delta_step(resid, (vg - w @ (w.conj().T @ vg))[:, 0], x)
+            nu_new = nu + delta_step(resid, vg - w @ (w.conj().T @ vg), x[None, :])[0]
             x_new = ls_signal(y, phi, nu_new)
             eps_new = residual_cost(y, phi, nu_new, x_new)
             if eps_new >= eps:

@@ -30,7 +30,6 @@ from gomp.projection_design import (
     objective_eta,
     random_cm_projection,
     shrink_error,
-    svd_projection,
     welch_bound,
 )
 
@@ -588,7 +587,7 @@ def test_alpha_sweep_not_worse_than_single_alpha():
 
 def test_svd_initializer_is_cm_and_deterministic():
     d = build_dictionary(24, 2 * np.pi * 0.7, 12)
-    a = svd_projection(d, 4)
-    b = svd_projection(d, 4)
+    a = initial_projection(d, 4, DesignConfig())
+    b = initial_projection(d, 4, DesignConfig())
     assert np.array_equal(a.phi, b.phi)
     assert np.max(np.abs(np.abs(a.phi) - 1.0)) < 1e-12
