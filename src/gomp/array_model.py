@@ -191,7 +191,10 @@ def synthesize_measurements(
     against the realized signal power of this draw, which makes the
     per-trial SNR exact and the output a pure function of
     (scene, phi, snr_db, seed). With snr_db = inf the noise branch is
-    skipped entirely and Y equals Phi A(nu) X.
+    skipped entirely and Y equals Phi A(nu) X. An snr_db so low that
+    ||Y||_F^2 of the draw overflows (such as -3080 dB for unit-power
+    sources) raises ValueError naming it, since no estimate can be fitted
+    to such a Y.
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array.
     """
@@ -211,4 +214,6 @@ def synthesize_measurements(
     rng = np.random.default_rng(seed)
     nbar = (rng.standard_normal((m, scene.L)) + 1j * rng.standard_normal((m, scene.L))) / np.sqrt(2.0)
     y = signal + phi_mat @ (sigma * nbar)
+    if not math.isfinite(np.vdot(y, y).real):
+        raise ValueError(f"snr_db {snr_db}: the noise scale {sigma:.3g} overflows ||Y||_F^2 for this draw")
     return MeasurementSet(Y=y)

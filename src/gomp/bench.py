@@ -28,7 +28,7 @@ from .array_model import (
     noise_scale_for_snr,
     synthesize_measurements,
 )
-from .estimator import GompConfig, estimate
+from .estimator import estimate
 from .projection_design import (
     DEFAULT_ALPHAS,
     DesignConfig,
@@ -49,7 +49,9 @@ class SweepConfig:
 
     scene_nu_max bounds the drawn source frequencies (defaults to nu_max);
     min_separation is the smallest allowed pairwise source gap (defaults
-    to two grid cells, 2 * nu_max / P).
+    to two grid cells, 2 * nu_max / P). The refinement takes at most
+    i_max * j_max joint steps: the paper's i_max steps per sweep and j_max
+    sweeps, of which the joint refinement reads only the product.
     """
 
     N: int = 16
@@ -64,7 +66,8 @@ class SweepConfig:
     nu_max: float = 2.0 * math.pi
     scene_nu_max: float | None = None
     min_separation: float | None = None
-    gomp: GompConfig = field(default_factory=GompConfig)
+    i_max: int = 10
+    j_max: int = 5
     design: DesignConfig = field(default_factory=DesignConfig)
     alpha_candidates: tuple[float, ...] = DEFAULT_ALPHAS
     p_grid: tuple[int, ...] | None = None
@@ -78,12 +81,9 @@ class SweepConfig:
         if not self.M <= self.P:
             raise ValueError(f"constraint M <= P violated (M={self.M}, P={self.P})")
         UlaConfig(M=self.M)
-        if self.K < 1:
-            raise ValueError(f"constraint K >= 1 violated (K={self.K})")
-        if self.L < 1:
-            raise ValueError(f"constraint L >= 1 violated (L={self.L})")
-        if self.trials < 1:
-            raise ValueError(f"constraint trials >= 1 violated (trials={self.trials})")
+        for key in ("K", "L", "i_max", "j_max", "trials"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"constraint {key} >= 1 violated ({key}={getattr(self, key)})")
         if self.seed < 0:
             raise ValueError(f"constraint seed >= 0 violated (seed={self.seed})")
         if not 0 < self.nu_max < math.inf:
@@ -253,9 +253,14 @@ def build_projection(kind: str, dictionary: Dictionary, cfg: SweepConfig, seed: 
 
 
 def run_design_trace(cfg: SweepConfig) -> DesignTraceResult:
-    """Single best-alpha design run as (iter, eta, mu_max) rows."""
+    """The design run of cfg.projection_kind as (iter, eta, mu_max) rows:
+    the best-alpha run for designed and gd_prior_a, the one alpha = inf
+    run for gd_prior_b. dft and random are not designed and raise
+    ValueError."""
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
-    _, trace = build_projection("designed", dictionary, cfg)
+    _, trace = build_projection(cfg.projection_kind, dictionary, cfg)
+    if trace is None:
+        raise ValueError(f"projection_kind {cfg.projection_kind!r} is not designed, so it has no design trace")
     rows = tuple(
         (t, float(trace.objective_per_iter[t]), float(trace.coherence_per_iter[t]))
         for t in range(trace.coherence_per_iter.size)
@@ -317,7 +322,7 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
             )
             start = time.perf_counter()
             try:
-                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.gomp, psi=psi)
+                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max, psi=psi)
             except (ValueError, np.linalg.LinAlgError):
                 failed += 1
                 continue
@@ -419,14 +424,14 @@ def write_measurements_csv(y: np.ndarray, path) -> None:
 def _flat_fields() -> dict:
     """Flat config key -> (owning dataclass, resolved field type).
 
-    Every field of SweepConfig, GompConfig and DesignConfig is a key,
-    except SweepConfig's nested gomp and design settings.
+    Every field of DesignConfig and SweepConfig is a key, except
+    SweepConfig's nested design settings.
     """
     keys = {}
-    for owner in (GompConfig, DesignConfig, SweepConfig):
+    for owner in (DesignConfig, SweepConfig):
         hints = typing.get_type_hints(owner)
         keys.update((f.name, (owner, hints[f.name])) for f in fields(owner))
-    del keys["gomp"], keys["design"]
+    del keys["design"]
     return keys
 
 
@@ -436,15 +441,14 @@ _FLAT_FIELDS = _flat_fields()
 def config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from flat JSON keys.
 
-    Top-level keys mirror SweepConfig field names; the nested refinement
-    and design settings use their own flat field names (i_max, j_max,
-    t_max, step_size, init). Each value is cast to its field's
-    annotated type: a scalar given for a tuple field becomes a 1-tuple,
-    None is accepted only for optional fields, and a value that does not
-    fit (including a non-integral number for an integer field) is rejected
-    with its key.
+    Top-level keys mirror SweepConfig field names; the nested design
+    settings use their own flat field names (t_max, step_size, init).
+    Each value is cast to its field's annotated type: a scalar given for a
+    tuple field becomes a 1-tuple, None is accepted only for optional
+    fields, and a value that does not fit (including a non-integral number
+    for an integer field) is rejected with its key.
     """
-    kwargs = {GompConfig: {}, DesignConfig: {}, SweepConfig: {}}
+    kwargs = {DesignConfig: {}, SweepConfig: {}}
     for key, value in data.items():
         if key not in _FLAT_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
@@ -454,9 +458,7 @@ def config_from_dict(data: dict) -> SweepConfig:
         except (TypeError, ValueError, OverflowError):
             expected = hint.__name__ if type(hint) is type else str(hint)
             raise ValueError(f"config key {key!r} expects {expected}, got {value!r}") from None
-    return SweepConfig(
-        gomp=GompConfig(**kwargs[GompConfig]), design=DesignConfig(**kwargs[DesignConfig]), **kwargs[SweepConfig]
-    )
+    return SweepConfig(design=DesignConfig(**kwargs[DesignConfig]), **kwargs[SweepConfig])
 
 
 def _cast(hint, value):

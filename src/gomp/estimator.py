@@ -9,8 +9,11 @@ falls. The step is taken in variable-projection form (Golub & Pereyra
 1973; Kaufman 1975), jointly with a waveform correction, so the
 refinement is Gauss-Newton on the separable least-squares problem and
 converges in a few steps; the paper's frozen-waveform Taylor step is its
-special case. It ends at its first step that does not lower the residual
-or when the step budget is spent.
+special case. The paper's i_max Taylor steps inside j_max sweeps over the
+sources thus become one budget of joint steps (a config file sets it as
+i_max * j_max). The refinement ends at its first step that does not lower
+the residual or when that budget is spent, and its EstimationResult says
+which (stop_reason) and after how many accepted steps (n_iter).
 """
 
 from __future__ import annotations
@@ -22,21 +25,6 @@ import numpy as np
 from .array_model import Dictionary, steering_matrix
 
 _PINV_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GompConfig:
-    """Refinement budgets: refine_single takes at most i_max steps,
-    refine_multi (and so estimate) at most i_max * j_max joint steps."""
-
-    i_max: int = 10
-    j_max: int = 5
-
-    def __post_init__(self) -> None:
-        if self.i_max < 1:
-            raise ValueError(f"i_max must be >= 1, got {self.i_max}")
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {self.j_max}")
 
 
 @dataclass(frozen=True)
@@ -218,20 +206,10 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return b / diag if b.size == 1 else np.linalg.solve(gram, b)
 
 
-def refine_single(
-    y: np.ndarray, phi, nu0: float, x0: np.ndarray, cfg: GompConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Single-source refinement: the K=1 call of refine_multi's kernel.
-
-    Takes at most cfg.i_max variable-projection steps from (nu0, x0). An
-    update is accepted only if it strictly lowers the squared residual;
-    the first one that does not (a tie included) is rejected and ends the
-    refinement, returning the previous pair. Returns (nu_hat, x_hat,
-    history) where history is the strictly decreasing sequence of
-    accepted residual values, starting with the residual of (nu0, x0).
-    """
-    result = refine_multi(y, phi, [nu0], np.asarray(x0)[None, :], GompConfig(i_max=cfg.i_max, j_max=1))
-    return float(result.nu_hat[0]), result.X_hat[0], result.histories[0]
+def refine_single(y: np.ndarray, phi, nu0: float, x0: np.ndarray, max_steps: int) -> EstimationResult:
+    """Single-source refinement: refine_multi with K=1, from the frequency
+    nu0 and the waveform x0 (an L-vector)."""
+    return refine_multi(y, phi, [nu0], x0, max_steps)
 
 
 def refine_multi(
@@ -239,30 +217,35 @@ def refine_multi(
     phi,
     nu0_vec: np.ndarray,
     x0: np.ndarray,
-    cfg: GompConfig,
+    max_steps: int,
     grid_indices: np.ndarray | None = None,
 ) -> EstimationResult:
     """Joint refinement of all K frequencies by strict-descent
     variable-projection Gauss-Newton.
 
-    Takes at most cfg.i_max * cfg.j_max steps from (nu0, X0). Each hands
-    delta_step the residual, the gradient responses projected off the
-    range of V = Phi A(nu) and the waveforms of the accepted fit (the
-    Kaufman Jacobian -P_perp Phi g(nu_k) x_k^T), then refits all waveforms
-    at the moved frequencies: one steering evaluation and one SVD per
-    attempted step. A step is accepted only if it strictly lowers the
-    squared residual; the first that does not (a tie included) ends the
+    Takes at most max_steps steps from (nu0, X0). Each hands delta_step
+    the residual, the gradient responses projected off the range of
+    V = Phi A(nu) and the waveforms of the accepted fit (the Kaufman
+    Jacobian -P_perp Phi g(nu_k) x_k^T), then refits all waveforms at the
+    moved frequencies: one steering evaluation and one SVD per attempted
+    step. A step is accepted only if it strictly lowers the squared
+    residual; the first that does not (a tie included) ends the
     refinement with stop_reason "stalled", a spent budget with
     "max_steps". A stall is a fixed point, since every later step would
-    repeat the rejected one, so a larger budget gives the same estimate.
-    With K=1 the result equals cfg.j_max warm-started refine_single passes.
+    repeat the rejected one, so a larger budget gives the same estimate,
+    and a budget split into warm-started calls gives the same estimate as
+    one call with their sum.
 
     Raises
     ------
+    ValueError
+        If max_steps is below 1.
     numpy.linalg.LinAlgError
         If the joint system Phi A(nu) is rank-deficient, for example when
         two refined frequencies coincide; omp raises the same for its refit.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     phi_mat = np.asarray(phi, dtype=complex)
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float)).copy()
@@ -273,7 +256,7 @@ def refine_multi(
     a, w, x, r, eps = _fit(y, phi_mat, nu, x)
     history = [eps]
     stop = "max_steps"
-    for _ in range(cfg.i_max * cfg.j_max):
+    for _ in range(max_steps):
         vg = phi_mat @ (ramp * a)
         nu_new = nu + delta_step(r, vg - w @ (w.conj().T @ vg), x)
         fit = _fit(y, phi_mat, nu_new)
@@ -292,9 +275,10 @@ def refine_multi(
 
 
 def estimate(
-    y: np.ndarray, phi, dictionary: Dictionary, k: int, cfg: GompConfig, psi: np.ndarray | None = None
+    y: np.ndarray, phi, dictionary: Dictionary, k: int, max_steps: int, psi: np.ndarray | None = None
 ) -> EstimationResult:
-    """End-to-end estimation: OMP on-grid start, then joint refinement.
+    """End-to-end estimation: OMP picks k grid starts, then refine_multi
+    takes at most max_steps joint steps from them.
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array. The
     sensing matrix Psi = Phi A_ring is formed on each call unless the
@@ -304,4 +288,4 @@ def estimate(
     if psi is None:
         psi = phi_mat @ dictionary.A_ring
     indices, x0 = omp(y, psi, k)
-    return refine_multi(y, phi_mat, dictionary.grid[indices], x0, cfg, grid_indices=indices)
+    return refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices)

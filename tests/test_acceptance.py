@@ -36,7 +36,7 @@ from gomp.bench import (
     run_coherence_experiment,
     run_mse_sweep,
 )
-from gomp.estimator import GompConfig, ls_signal, omp, refine_multi, refine_single
+from gomp.estimator import ls_signal, omp, refine_multi, refine_single
 from gomp.projection_design import (
     DesignConfig,
     design,
@@ -188,7 +188,7 @@ def test_criterion_4_refinement_monotonicity():
         meas = synthesize_measurements(scene, phi, UlaConfig(M=m), snr, seed=trial)
         nu0 = cell * grid_step
         x0 = ls_signal(meas.Y, phi.phi, nu0)
-        _, _, hist = refine_single(meas.Y, phi.phi, nu0, x0, GompConfig(i_max=10, j_max=1))
+        hist = refine_single(meas.Y, phi.phi, nu0, x0, 10).histories[0]
         assert np.all(np.diff(hist) <= 0), f"trial {trial}: non-monotone history"
         assert np.all(hist >= 0) and np.all(hist <= hist[0] + 1e-12)
         count += 1
@@ -197,14 +197,14 @@ def test_criterion_4_refinement_monotonicity():
 
 def test_criterion_5_offgrid_refinement_accuracy():
     """Half-cell offsets from the P=64 grid refine to |err| <= 1e-6 in
-    100/100 trials with i_max=10 per pass. The variable-projection step
-    converges within a single pass here; the criterion is exercised
-    through the estimator's standard warm-started multi-pass operation,
-    which stops after the first pass that accepts no step."""
+    100/100 trials with a budget of 200 joint steps (i_max=10 steps in
+    each of j_max=20 sweeps). The variable-projection step converges in a
+    few steps here, and the refinement stops at its first step that does
+    not lower the residual, well inside the budget."""
     start = time.monotonic()
     phi, d, _ = _designed(16, 64, 64)
     half = np.pi / 64
-    cfg = GompConfig(i_max=10, j_max=20)
+    steps = 200
     rng = np.random.default_rng(105)
     worst = 0.0
     hits = 0
@@ -215,7 +215,7 @@ def test_criterion_5_offgrid_refinement_accuracy():
         x = _cn(rng, 16)
         y = np.outer(phi.phi @ steering_matrix([nu_true], 64)[:, 0], x)
         x0 = ls_signal(y, phi.phi, d.grid[cell])
-        result = refine_multi(y, phi.phi, [d.grid[cell]], x0[None, :], cfg)
+        result = refine_multi(y, phi.phi, [d.grid[cell]], x0[None, :], steps)
         err = abs(result.nu_hat[0] - nu_true)
         worst = max(worst, err)
         hits += err <= 1e-6
@@ -273,13 +273,13 @@ def test_criterion_7_sampling_error_floor():
         (1, SweepConfig(N=16, M=64, P=128, K=1, L=16, trials=600, seed=107,
                         snr_grid_db=(np.inf,),
                         scene_nu_max=2 * np.pi - 2 * np.pi / 128,
-                        gomp=GompConfig(i_max=2, j_max=1),
+                        i_max=2, j_max=1,
                         design=DesignConfig(t_max=200))),
         (5, SweepConfig(N=48, M=64, P=128, K=5, L=64, trials=600, seed=108,
                         snr_grid_db=(np.inf,),
                         scene_nu_max=2 * np.pi - 2 * np.pi / 128,
                         min_separation=6 * 2 * np.pi / 128,
-                        gomp=GompConfig(i_max=2, j_max=1),
+                        i_max=2, j_max=1,
                         design=DesignConfig(t_max=200))),
     ]
     summary = []
@@ -302,7 +302,7 @@ def test_criterion_8_fig3_qualitative_reproduction():
     cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=200, seed=109,
                       snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0),
                       nu_max=2 * np.pi * 15 / 64,
-                      gomp=GompConfig(i_max=10, j_max=5),
+                      i_max=10, j_max=5,
                       design=DesignConfig(t_max=200))
     result = run_mse_sweep(cfg)
     rows = sorted(result.rows, key=lambda r: r.snr_db)
@@ -329,7 +329,7 @@ def test_criterion_9_determinism(tmp_path):
     """Identical config + seed produce byte-identical CSV files."""
     sweep_cfg = SweepConfig(N=8, M=16, P=32, K=2, L=4, trials=5, seed=110,
                             snr_grid_db=(5.0, 15.0), projection_kind="random",
-                            gomp=GompConfig(i_max=3, j_max=2),
+                            i_max=3, j_max=2,
                             design=DesignConfig(t_max=10))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_mse_sweep(sweep_cfg), a)

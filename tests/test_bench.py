@@ -34,14 +34,13 @@ from gomp.bench import (
     write_measurements_csv,
 )
 from gomp.cli import cli
-from gomp.estimator import GompConfig
 from gomp.projection_design import DesignConfig
 
 
 def _cfg(**kw):
     defaults = dict(N=4, M=8, P=16, K=1, L=4, trials=3, seed=1,
                     snr_grid_db=(10.0,), design=DesignConfig(t_max=10),
-                    gomp=GompConfig(i_max=3, j_max=2))
+                    i_max=3, j_max=2)
     defaults.update(kw)
     return SweepConfig(**defaults)
 
@@ -130,7 +129,7 @@ def test_config_from_dict_flat_keys():
         "i_max": 7, "j_max": 2, "t_max": 11, "step_size": 0.1,
         "snr_grid_db": [0, 10], "projection_kind": "random",
     })
-    assert cfg.gomp.i_max == 7 and cfg.gomp.j_max == 2
+    assert cfg.i_max == 7 and cfg.j_max == 2
     assert cfg.design.t_max == 11 and cfg.design.step_size == 0.1
     assert cfg.snr_grid_db == (0.0, 10.0)
     assert cfg.projection_kind == "random"
@@ -152,11 +151,10 @@ def test_alpha_is_not_a_config_key(tmp_path, capsys):
 
 
 def test_flat_keys_are_exactly_the_config_fields():
-    """Every field of SweepConfig (less the nested gomp and design), of
-    GompConfig and of DesignConfig is a flat key, nothing else is, and no
-    two of these classes share a field name, so no key needs a precedence
-    rule."""
-    owned = [_names(SweepConfig, "gomp", "design"), _names(GompConfig), _names(DesignConfig)]
+    """Every field of SweepConfig (less the nested design) and of
+    DesignConfig is a flat key, nothing else is, and the two classes share
+    no field name, so no key needs a precedence rule."""
+    owned = [_names(SweepConfig, "design"), _names(DesignConfig)]
     assert set(bench._FLAT_FIELDS) == set().union(*owned)
     assert sum(map(len, owned)) == len(bench._FLAT_FIELDS) == 20
 
@@ -173,9 +171,8 @@ def test_config_value_that_does_not_fit_is_named(key, value, capsys):
 
 def _flatten(cfg: SweepConfig) -> dict:
     """The flat keys of a config: every top-level field but the nested
-    settings, plus every GompConfig and DesignConfig field."""
-    flat = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("gomp", "design")}
-    flat.update(dataclasses.asdict(cfg.gomp))
+    design settings, plus every DesignConfig field."""
+    flat = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "design"}
     flat.update(dataclasses.asdict(cfg.design))
     return flat
 
@@ -208,18 +205,18 @@ def _sweep_configs(draw):
         alpha_candidates=draw(tuples(st.floats(1.0, 10.0) | st.just(math.inf))),
         p_grid=draw(st.none() | tuples(st.integers(m, 512))),
         methods=draw(tuples(_KINDS)),
+        i_max=draw(st.integers(1, 50)),
+        j_max=draw(st.integers(1, 20)),
     )
-    gomp = dict(i_max=draw(st.integers(1, 50)), j_max=draw(st.integers(1, 20)))
     design = dict(
         t_max=draw(st.integers(0, 500)),
         step_size=draw(_POSITIVE),
         init=draw(st.sampled_from(("svd", "random"))),
     )
     # every flat key is drawn, so a new field fails here until it is covered
-    assert top.keys() == _names(SweepConfig, "gomp", "design")
-    assert gomp.keys() == _names(GompConfig)
+    assert top.keys() == _names(SweepConfig, "design")
     assert design.keys() == _names(DesignConfig)
-    return SweepConfig(gomp=GompConfig(**gomp), design=DesignConfig(**design), **top)
+    return SweepConfig(design=DesignConfig(**design), **top)
 
 
 @settings(max_examples=200, deadline=None)
@@ -337,6 +334,23 @@ def test_design_trace_rows_shape():
     assert len(rows) == cfg.design.t_max + 1
     assert rows[0][0] == 0
     assert all(len(r) == 3 for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["designed", "gd_prior_a", "gd_prior_b"])
+def test_design_trace_follows_projection_kind(kind):
+    from gomp.array_model import build_dictionary
+
+    cfg = _cfg(projection_kind=kind)
+    _, trace = build_projection(kind, build_dictionary(cfg.P, cfg.nu_max, cfg.M), cfg)
+    rows = run_design_trace(cfg).rows
+    assert [r[1] for r in rows] == list(trace.objective_per_iter)
+    assert [r[2] for r in rows] == list(trace.coherence_per_iter)
+
+
+@pytest.mark.parametrize("kind", ["dft", "random"])
+def test_design_trace_of_undesigned_kind_names_projection_kind(kind):
+    with pytest.raises(ValueError, match=f"projection_kind '{kind}'"):
+        run_design_trace(_cfg(projection_kind=kind))
 
 
 def test_coherence_experiment_baselines_constant():

@@ -46,15 +46,55 @@ def test_sweep_subcommand_deterministic(tmp_path):
 
 
 def test_sweep_single_trial_completes_quickly(tmp_path):
-    """Fig-3 dimensions with one trial and one SNR point, under 10 s."""
+    """Fig-3 dimensions with one trial and one SNR point, under 10 s of
+    this process's CPU time, which other processes on the host do not
+    inflate as they do wall time."""
     cfg = _write_cfg(tmp_path, N=16, M=64, P=64, K=5, L=16, trials=1,
                      snr_grid_db=[10.0], t_max=50, i_max=10, j_max=5)
     out = tmp_path / "one.csv"
-    start = time.monotonic()
+    start = time.process_time()
     assert cli(["sweep", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
-    elapsed = time.monotonic() - start
-    print(f"\n  single-trial sweep took {elapsed:.2f} s")
+    elapsed = time.process_time() - start
+    print(f"\n  single-trial sweep took {elapsed:.2f} s of CPU time")
     assert elapsed < 10.0
+
+
+def test_sweep_reads_only_the_product_of_the_budget_keys(tmp_path):
+    """i_max and j_max set one budget of i_max * j_max joint steps:
+    (3, 2), (6, 1) and (1, 6) give byte-identical CSVs, and a budget of
+    one step does not, so the budget reaches the output."""
+    cfg = _write_cfg(tmp_path, K=2, trials=4, snr_grid_db=[10.0, 20.0])
+    outputs = {}
+    for i_max, j_max in [(3, 2), (6, 1), (1, 6), (1, 1)]:
+        out = tmp_path / f"s{i_max}{j_max}.csv"
+        assert cli(["sweep", "--config", cfg, "--seed", "3", "--out", str(out),
+                    "--set", f"i_max={i_max}", "--set", f"j_max={j_max}"]) == 0
+        outputs[i_max, j_max] = out.read_bytes()
+    assert outputs[3, 2] == outputs[6, 1] == outputs[1, 6] != outputs[1, 1]
+
+
+def test_sweep_snr_that_overflows_y_fails_naming_it(tmp_path, capsys):
+    """At -3080 dB the noise scale passes the load check, which assumes
+    unit powers, but ||Y||_F^2 of the draw overflows: the sweep exits 2
+    naming the SNR and writes no row. -3000 dB still gives finite rows."""
+    args = ["sweep", "--seed", "1", *(arg for kv in ("N=4", "M=8", "P=16", "K=1", "L=4", "trials=3")
+                                      for arg in ("--set", kv))]
+    out = tmp_path / "s.csv"
+    assert cli([*args, "--set", "snr_grid_db=[-3080]", "--out", str(out)]) == 2
+    assert "snr_db -3080" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli([*args, "--set", "snr_grid_db=[-3000]", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:2] == ["designed", "-3000"] and row[4:] == ["3", "0"]
+    assert all(np.isfinite(float(v)) for v in row[2:4])
+
+
+def test_design_of_undesigned_projection_kind_fails_naming_it(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, projection_kind="dft")
+    out = tmp_path / "trace.csv"
+    assert cli(["design", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert "projection_kind 'dft'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
@@ -79,6 +119,8 @@ def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
     ("alpha_candidates", "[]"),
     ("alpha_candidates", "[0.5]"),
     ("p_grid", "[4]"),
+    ("i_max", "0"),
+    ("j_max", "0"),
 ])
 def test_bad_config_value_fails_at_load_and_names_key(tmp_path, capsys, key, value):
     """Values that would fail or mislead only once an experiment runs are

@@ -17,7 +17,6 @@ import pytest
 from gomp.array_model import build_dictionary, steering_gradient, steering_matrix, steering_vector
 from gomp.estimator import (
     EstimationResult,
-    GompConfig,
     delta_step,
     estimate,
     ls_signal,
@@ -326,10 +325,9 @@ def test_refine_exact_start_terminates_immediately():
     nu = 0.77
     x = _cn(rng, 6)
     y = np.outer(phi @ steering_vector(nu, 16), x)
-    nu_hat, x_hat, hist = refine_single(y, phi, nu, x, GompConfig(i_max=10, j_max=1))
-    assert nu_hat == nu
-    assert hist.size >= 1
-    assert hist[0] == 0.0
+    result = refine_single(y, phi, nu, x, 10)
+    assert result.nu_hat[0] == nu
+    assert result.n_iter == 0 and result.histories[0][0] == 0.0
 
 
 def test_refine_rejected_first_update_returns_input():
@@ -346,10 +344,10 @@ def test_refine_rejected_first_update_returns_input():
     nu0 = float(r.uniform(0, 2 * np.pi))
     c = r.standard_normal() + 1j * r.standard_normal()
     x0 = c * ls_signal(y, phi, nu0)
-    nu_hat, x_hat, hist = refine_single(y, phi, nu0, x0, GompConfig(i_max=10, j_max=1))
-    assert nu_hat == nu0
-    assert np.array_equal(x_hat, x0)
-    assert hist.size == 1
+    result = refine_single(y, phi, nu0, x0, 10)
+    assert result.nu_hat[0] == nu0
+    assert np.array_equal(result.X_hat[0], x0)
+    assert result.n_iter == 0 and result.stop_reason == "stalled"
 
 
 def test_refine_history_nonincreasing_random_instances():
@@ -367,7 +365,7 @@ def test_refine_history_nonincreasing_random_instances():
             y = y + float(rng.uniform(0, 1)) * _cn(rng, n, l)
         nu0 = nu_true + float(rng.uniform(-0.1, 0.1))
         x0 = ls_signal(y, phi, nu0)
-        _, _, hist = refine_single(y, phi, nu0, x0, GompConfig(i_max=8, j_max=1))
+        hist = refine_single(y, phi, nu0, x0, 8).histories[0]
         assert np.all(np.diff(hist) <= 0), f"trial {trial}: history not monotone"
         assert np.all(hist >= 0)
         assert np.all(hist <= hist[0])
@@ -385,7 +383,7 @@ def test_refine_single_pass_reduces_halfcell_offset():
         x = _cn(rng, 16)
         y = np.outer(phi.phi @ steering_vector(nu_true, 64), x)
         x0 = ls_signal(y, phi.phi, d.grid[p])
-        nu_hat, _, _ = refine_single(y, phi.phi, d.grid[p], x0, GompConfig(i_max=10, j_max=1))
+        nu_hat = refine_single(y, phi.phi, d.grid[p], x0, 10).nu_hat[0]
         assert abs(nu_hat - nu_true) < half / 4, "offset not contracted"
 
 
@@ -394,7 +392,7 @@ def test_refine_single_equals_public_kernel_loop():
     residual_cost with the documented acceptance rule, the gradient
     response projected off the unit vector along Phi a(nu)."""
     rng = np.random.default_rng(44)
-    cfg = GompConfig(i_max=5, j_max=1)
+    steps = 5
     for trial in range(20):
         m = int(rng.integers(4, 33))
         n = int(rng.integers(2, m + 1))
@@ -404,10 +402,10 @@ def test_refine_single_equals_public_kernel_loop():
         y = np.outer(phi @ steering_vector(nu_true, m), _cn(rng, l)) + 0.2 * _cn(rng, n, l)
         nu = nu_true + float(rng.uniform(-0.1, 0.1))
         x = ls_signal(y, phi, nu)
-        nu_hat, x_hat, hist = refine_single(y, phi, nu, x, cfg)
+        result = refine_single(y, phi, nu, x, steps)
         eps = residual_cost(y, phi, nu, x)
         ref = [eps]
-        for _ in range(cfg.i_max):
+        for _ in range(steps):
             v = phi @ steering_vector(nu, m)
             vg = phi @ steering_gradient(nu, m)[:, None]
             w = v[:, None] / np.sqrt(np.vdot(v, v).real)
@@ -419,8 +417,8 @@ def test_refine_single_equals_public_kernel_loop():
                 break
             nu, x, eps = nu_new, x_new, eps_new
             ref.append(eps)
-        assert nu_hat == nu, f"trial {trial}"
-        assert np.array_equal(x_hat, x) and np.array_equal(hist, ref), f"trial {trial}"
+        assert result.nu_hat[0] == nu, f"trial {trial}"
+        assert np.array_equal(result.X_hat[0], x) and np.array_equal(result.histories[0], ref), f"trial {trial}"
 
 
 def test_refine_single_forms_each_iterate_once(monkeypatch):
@@ -446,7 +444,7 @@ def test_refine_single_forms_each_iterate_once(monkeypatch):
         nu0 = nu_true + float(rng.uniform(-0.1, 0.1))
         x0 = ls_signal(y, phi, nu0)
         calls.update(steering=0, steps=0)
-        refine_single(y, phi, nu0, x0, GompConfig(i_max=6, j_max=1))
+        refine_single(y, phi, nu0, x0, 6)
         assert calls["steps"] >= 1
         assert calls["steering"] == 1 + calls["steps"], f"trial {trial}: {calls}"
 
@@ -478,7 +476,7 @@ def test_refine_single_step_is_variable_projection_step(monkeypatch):
         if trial % 2:
             x = x * (1 + 0.3 * _cn(rng, l)) + 0.1 * _cn(rng, l)
         steps.clear()
-        refine_single(y, phi, nu, x, GompConfig(i_max=1, j_max=1))
+        refine_single(y, phi, nu, x, 1)
         v = phi @ steering_vector(nu, m)
         kg = np.kron(x, phi @ steering_gradient(nu, m))
         kv = np.kron(np.eye(l), v[:, None])
@@ -500,14 +498,15 @@ def test_refine_single_pass_converges_from_halfcell_offset():
         nu_true = d.grid[p] + half
         y = np.outer(phi.phi @ steering_vector(nu_true, 64), _cn(rng, 16))
         x0 = ls_signal(y, phi.phi, d.grid[p])
-        nu_hat, _, _ = refine_single(y, phi.phi, d.grid[p], x0, GompConfig(i_max=10, j_max=1))
+        nu_hat = refine_single(y, phi.phi, d.grid[p], x0, 10).nu_hat[0]
         assert abs(nu_hat - nu_true) <= 1e-6, f"trial {trial}: error {abs(nu_hat - nu_true):.3e}"
 
 
 # ------------------------------------------------------------- refine_multi
 
 def test_refine_multi_single_source_equals_repeated_single():
-    """K=1 cycling is bitwise identical to warm-started single passes."""
+    """A budget of 20 joint steps is bitwise four warm-started
+    refine_single calls of 5 steps each: only the total budget matters."""
     rng = np.random.default_rng(34)
     phi = random_cm_projection(8, 32, seed=12).phi
     nu_true = 1.9
@@ -515,11 +514,11 @@ def test_refine_multi_single_source_equals_repeated_single():
     y = np.outer(phi @ steering_vector(nu_true, 32), x) + 0.05 * _cn(rng, 8, 8)
     nu0 = nu_true + 0.03
     x0 = ls_signal(y, phi, nu0)
-    cfg = GompConfig(i_max=5, j_max=4)
-    result = refine_multi(y, phi, [nu0], x0[None, :], cfg)
+    result = refine_multi(y, phi, [nu0], x0[None, :], 20)
     nu_ref, x_ref = nu0, x0
-    for _ in range(cfg.j_max):
-        nu_ref, x_ref, _ = refine_single(y, phi, nu_ref, x_ref, cfg)
+    for _ in range(4):
+        single = refine_single(y, phi, nu_ref, x_ref, 5)
+        nu_ref, x_ref = single.nu_hat[0], single.X_hat[0]
     assert result.nu_hat[0] == nu_ref
     assert np.array_equal(result.X_hat[0], x_ref)
 
@@ -528,7 +527,7 @@ def test_refine_multi_two_sources_offgrid():
     """Well-separated off-grid pair, exact on-grid start, noiseless."""
     phi, d = _designed_phi(16, 32, 64)
     rng = np.random.default_rng(35)
-    cfg = GompConfig(i_max=10, j_max=5)
+    steps = 50
     for trial in range(5):
         p1 = int(rng.integers(0, 25))
         p2 = p1 + int(rng.integers(12, 30))
@@ -539,7 +538,7 @@ def test_refine_multi_two_sources_offgrid():
             ls_signal(y, phi.phi, d.grid[p1]),
             ls_signal(y, phi.phi, d.grid[p2]),
         ])
-        result = refine_multi(y, phi.phi, d.grid[[p1, p2]], x0, cfg)
+        result = refine_multi(y, phi.phi, d.grid[[p1, p2]], x0, steps)
         errs = np.abs(np.sort(result.nu_hat) - np.sort(nu_true))
         assert np.max(errs) <= 1e-5, f"trial {trial}: errors {errs}"
 
@@ -557,7 +556,7 @@ def test_refine_multi_two_sources_offgrid_in_one_pass_budget():
         x = _cn(rng, 2, 16)
         y = phi.phi @ (steering_matrix(nu_true, 32) @ x)
         x0 = np.vstack([ls_signal(y, phi.phi, d.grid[p1]), ls_signal(y, phi.phi, d.grid[p2])])
-        result = refine_multi(y, phi.phi, d.grid[[p1, p2]], x0, GompConfig(i_max=10, j_max=1))
+        result = refine_multi(y, phi.phi, d.grid[[p1, p2]], x0, 10)
         errs = np.abs(np.sort(result.nu_hat) - np.sort(nu_true))
         assert np.max(errs) <= 1e-9, f"trial {trial}: errors {errs}"
 
@@ -566,7 +565,7 @@ def test_refine_multi_rejects_coincident_frequencies():
     phi = random_cm_projection(8, 32, seed=15).phi
     y = _cn(np.random.default_rng(52), 8, 4)
     with pytest.raises(np.linalg.LinAlgError):
-        refine_multi(y, phi, [0.0, 1e-14], np.ones((2, 4)), GompConfig())
+        refine_multi(y, phi, [0.0, 1e-14], np.ones((2, 4)), 50)
 
 
 def test_refine_multi_reduces_total_residual():
@@ -582,7 +581,7 @@ def test_refine_multi_reduces_total_residual():
         y = phi.phi @ (steering_matrix(nu_true, 64) @ x)
         indices, x0 = omp(y, psi, k)
         resid0 = np.linalg.norm(y - psi[:, indices] @ x0) ** 2
-        result = refine_multi(y, phi.phi, d.grid[indices], x0, GompConfig(i_max=10, j_max=5))
+        result = refine_multi(y, phi.phi, d.grid[indices], x0, 50)
         model = sum(
             np.outer(phi.phi @ steering_vector(result.nu_hat[i], 64), result.X_hat[i])
             for i in range(k)
@@ -599,7 +598,7 @@ def test_refine_multi_histories_each_nonincreasing():
     y = phi.phi @ (steering_matrix(nu_true, 64) @ x) + 0.1 * _cn(rng, 16, 8)
     psi = phi.phi @ d.A_ring
     indices, x0 = omp(y, psi, 3)
-    result = refine_multi(y, phi.phi, d.grid[indices], x0, GompConfig(i_max=6, j_max=3))
+    result = refine_multi(y, phi.phi, d.grid[indices], x0, 18)
     assert len(result.histories) == 1
     hist = result.histories[0]
     assert hist.size == result.n_iter + 1 >= 2
@@ -608,9 +607,10 @@ def test_refine_multi_histories_each_nonincreasing():
 
 def test_refine_multi_early_exit_is_exact():
     """A step that does not lower the residual ends the refinement, and
-    stopping there changes nothing: on converging instances K=1 and K=2 at
-    j_max=5 give nu_hat and X_hat bitwise equal to j_max=40, both stalled,
-    and a budget of exactly the accepted steps gives them at max_steps."""
+    stopping there changes nothing: on converging instances with K=1 and
+    K=2, a budget of 50 steps gives nu_hat and X_hat bitwise equal to 400
+    steps, both stalled, and a budget of exactly the accepted steps gives
+    them at max_steps."""
     phi = random_cm_projection(64, 64, seed=13).phi
     rng = np.random.default_rng(49)
     for k in (1, 2):
@@ -620,14 +620,26 @@ def test_refine_multi_early_exit_is_exact():
             y = phi @ (steering_matrix(nu_true, 64) @ _cn(rng, k, 16)) + 0.1 * _cn(rng, 64, 16)
             nu0 = nu_true + rng.uniform(-0.5, 0.5, k) * 2 * np.pi / 64
             x0 = np.vstack([ls_signal(y, phi, nu) for nu in nu0])
-            full = refine_multi(y, phi, nu0, x0, GompConfig(i_max=10, j_max=40))
+            full = refine_multi(y, phi, nu0, x0, 400)
             assert full.stop_reason == "stalled" and 1 <= full.n_iter < 400, f"K={k}, trial {trial}"
-            budgets = {"stalled": GompConfig(i_max=10, j_max=5), "max_steps": GompConfig(i_max=1, j_max=full.n_iter)}
-            for stop, cfg in budgets.items():
-                cut = refine_multi(y, phi, nu0, x0, cfg)
-                assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, {cfg}"
-                assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, {cfg}"
+            for stop, steps in {"stalled": 50, "max_steps": full.n_iter}.items():
+                cut = refine_multi(y, phi, nu0, x0, steps)
+                assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, {steps} steps"
+                assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, {steps} steps"
                 assert cut.stop_reason == stop and cut.converged == (stop == "stalled")
+
+
+def test_step_budget_below_one_is_rejected_and_named():
+    phi = random_cm_projection(8, 32, seed=17).phi
+    d = build_dictionary(64, 2 * np.pi, 32)
+    y = phi @ (steering_matrix([0.4], 32) @ _cn(np.random.default_rng(55), 1, 4))
+    x0 = ls_signal(y, phi, 0.4)
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
+        refine_multi(y, phi, [0.4], x0[None, :], 0)
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
+        refine_single(y, phi, 0.4, x0, 0)
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
+        estimate(y, phi, d, 1, 0)
 
 
 def test_estimation_result_converged_reads_last_pass():
@@ -637,8 +649,8 @@ def test_estimation_result_converged_reads_last_pass():
     rng = np.random.default_rng(50)
     y = np.outer(phi @ steering_vector(1.2, 32), _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
     x0 = ls_signal(y, phi, 1.25)[None, :]
-    short = refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=1))
-    long = refine_multi(y, phi, [1.25], x0, GompConfig(i_max=10, j_max=40))
+    short = refine_multi(y, phi, [1.25], x0, 10)
+    long = refine_multi(y, phi, [1.25], x0, 400)
     assert short.stop_reason == long.stop_reason == "stalled" and short.converged and long.converged
     assert short.n_iter == long.n_iter == long.histories[0].size - 1
     two = np.array([2.0, 1.0])
@@ -657,7 +669,7 @@ def test_estimate_noiseless_on_grid_is_exact():
     cells = np.array([5, 21, 40])
     x = _cn(rng, 3, 16)
     y = phi.phi @ (d.A_ring[:, cells] @ x)
-    result = estimate(y, phi, d, 3, GompConfig(i_max=10, j_max=5))
+    result = estimate(y, phi, d, 3, 50)
     assert set(result.initial_grid_indices) == set(cells)
     errs = np.abs(np.sort(result.nu_hat) - np.sort(d.grid[cells]))
     assert np.max(errs) < 1e-9
@@ -673,7 +685,7 @@ def test_estimate_refinement_beats_on_grid_start_at_20db():
     nu_max = 2 * np.pi * 15 / 64
     cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=100, seed=77,
                       snr_grid_db=(20.0,), nu_max=nu_max,
-                      gomp=GompConfig(i_max=10, j_max=5),
+                      i_max=10, j_max=5,
                       design=DesignConfig(t_max=200))
     d = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection("designed", d, cfg)
@@ -682,7 +694,7 @@ def test_estimate_refinement_beats_on_grid_start_at_20db():
     for trial in range(100):
         scene = draw_scene(cfg, _seed_int(cfg.seed, trial, 0))
         meas = synthesize_measurements(scene, phi, ula, 20.0, _seed_int(cfg.seed, 0, trial, 1))
-        res = estimate(meas.Y, phi, d, cfg.K, cfg.gomp)
+        res = estimate(meas.Y, phi, d, cfg.K, cfg.i_max * cfg.j_max)
         m0 = mse_frequencies(scene.nu, d.grid[res.initial_grid_indices])
         m1 = mse_frequencies(scene.nu, res.nu_hat)
         better += m1 < m0
@@ -700,7 +712,7 @@ def test_estimate_stalls_within_budget_at_20db():
 
     cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=40, seed=11,
                       snr_grid_db=(20.0,), nu_max=2 * np.pi * 15 / 64,
-                      gomp=GompConfig(i_max=10, j_max=5),
+                      i_max=10, j_max=5,
                       design=DesignConfig(t_max=200))
     d = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection("designed", d, cfg)
@@ -709,7 +721,7 @@ def test_estimate_stalls_within_budget_at_20db():
     for trial in range(cfg.trials):
         scene = draw_scene(cfg, _seed_int(cfg.seed, trial, 0))
         meas = synthesize_measurements(scene, phi, ula, 20.0, _seed_int(cfg.seed, 0, trial, 1))
-        stalled += estimate(meas.Y, phi, d, cfg.K, cfg.gomp).stop_reason == "stalled"
+        stalled += estimate(meas.Y, phi, d, cfg.K, cfg.i_max * cfg.j_max).stop_reason == "stalled"
     print(f"\n  stalled in {stalled}/{cfg.trials} trials")
     assert stalled >= 38
 
@@ -721,10 +733,9 @@ def test_estimate_projection_matrix_equals_plain_array():
     phi, d = _designed_phi(16, 64, 64)
     rng = np.random.default_rng(53)
     y = phi.phi @ (steering_matrix([0.7, 2.9, 4.4], 64) @ _cn(rng, 3, 8)) + 0.1 * _cn(rng, 16, 8)
-    cfg = GompConfig(i_max=10, j_max=5)
-    plain = estimate(y, phi.phi, d, 3, cfg)
+    plain = estimate(y, phi.phi, d, 3, 50)
     for given in ({}, {}, {"psi": phi.phi @ d.A_ring}):
-        cached = estimate(y, phi, d, 3, cfg, **given)
+        cached = estimate(y, phi, d, 3, 50, **given)
         assert np.array_equal(cached.initial_grid_indices, plain.initial_grid_indices)
         assert np.array_equal(cached.nu_hat, plain.nu_hat)
         assert np.array_equal(cached.X_hat, plain.X_hat)
@@ -736,7 +747,7 @@ def test_estimate_pure_noise_does_not_crash():
     phi, d = _designed_phi(16, 64, 64)
     rng = np.random.default_rng(39)
     y = _cn(rng, 16, 8)
-    result = estimate(y, phi, d, 1, GompConfig(i_max=10, j_max=2))
+    result = estimate(y, phi, d, 1, 20)
     assert np.all(np.isfinite(result.nu_hat))
     assert all(np.all(np.isfinite(h)) for h in result.histories)
 
@@ -744,7 +755,7 @@ def test_estimate_pure_noise_does_not_crash():
 def test_estimate_requires_k_at_most_n():
     phi, d = _designed_phi(16, 64, 64)
     with pytest.raises(ValueError):
-        estimate(np.ones((16, 4)), phi, d, 17, GompConfig())
+        estimate(np.ones((16, 4)), phi, d, 17, 50)
 
 
 def test_estimate_keeps_no_reference_to_its_inputs():
@@ -753,7 +764,7 @@ def test_estimate_keeps_no_reference_to_its_inputs():
     d = build_dictionary(64, 2 * np.pi, 32)
     phi = random_cm_projection(8, 32, seed=16)
     y = phi.phi @ (steering_matrix([0.4, 2.2], 32) @ _cn(np.random.default_rng(54), 2, 4))
-    estimate(y, phi, d, 2, GompConfig())
+    estimate(y, phi, d, 2, 50)
     refs = weakref.ref(phi), weakref.ref(d)
     del phi, d
     gc.collect()
