@@ -1,10 +1,10 @@
 """Uniform linear array model.
 
-Steering and steering-gradient vectors, grid dictionaries, and synthetic
-multi-snapshot measurement generation with a controlled signal-to-noise
-ratio. All values are immutable after construction and every operation is
-a pure function of its inputs, so everything here is safe to share across
-threads.
+Steering matrices and their frequency derivatives, grid dictionaries,
+and synthetic multi-snapshot measurement generation with a controlled
+signal-to-noise ratio. All values are immutable after construction and
+every operation is a pure function of its inputs, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,37 +15,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def steering_vector(nu: float, m: int) -> np.ndarray:
-    """Array response of an m-sensor ULA at spatial frequency nu.
-
-    Entry k (0-based) is exp(1j * k * nu); every entry has unit modulus.
-
-    Parameters
-    ----------
-    nu : float
-        Spatial frequency in radians per sensor.
-    m : int
-        Number of sensors, at least 1.
-    """
-    return steering_matrix([nu], m)[:, 0]
-
-
-def steering_gradient(nu: float, m: int) -> np.ndarray:
-    """Derivative of the steering vector with respect to nu.
-
-    Entry k equals 1j * k * exp(1j * k * nu).
-    """
-    return 1j * np.arange(m) * steering_vector(nu, m)
-
-
 def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
-    """Stack steering vectors for several frequencies as an m-by-K matrix."""
+    """Array response of an m-sensor ULA (m >= 1) at K finite spatial
+    frequencies nu, in radians per sensor: the m-by-K matrix with entry
+    (i, k) = exp(1j * i * nu[k]), every entry of unit modulus."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if m < 1:
         raise ValueError(f"sensor count must be >= 1, got {m}")
     if not np.isfinite(nu).all():
         raise ValueError("spatial frequencies must be finite")
     return np.exp(1j * (np.arange(m)[:, None] * nu))
+
+
+def steering_gradient(a: np.ndarray) -> np.ndarray:
+    """Derivative of the steering matrix a = steering_matrix(nu, m) with
+    respect to its frequencies: column k is d a[:, k] / d nu[k], so entry
+    (i, k) equals 1j * i * a[i, k].
+    """
+    return 1j * np.arange(a.shape[0])[:, None] * a
 
 
 @dataclass(frozen=True)

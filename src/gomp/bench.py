@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -80,7 +81,8 @@ class SweepConfig:
             raise ValueError(f"constraint N <= M violated (N={self.N}, M={self.M})")
         if not self.M <= self.P:
             raise ValueError(f"constraint M <= P violated (M={self.M}, P={self.P})")
-        UlaConfig(M=self.M)
+        if self.M < 2:
+            raise ValueError(f"constraint M >= 2 violated (M={self.M})")
         for key in ("K", "L", "i_max", "j_max", "trials"):
             if getattr(self, key) < 1:
                 raise ValueError(f"constraint {key} >= 1 violated ({key}={getattr(self, key)})")
@@ -114,14 +116,6 @@ class SweepConfig:
         for p in self.p_grid or ():
             if p < self.M:
                 raise ValueError(f"p_grid entry {p} is below the sensor count M={self.M}")
-
-    @property
-    def scene_bound(self) -> float:
-        return self.nu_max if self.scene_nu_max is None else self.scene_nu_max
-
-    @property
-    def separation(self) -> float:
-        return 2.0 * self.nu_max / self.P if self.min_separation is None else self.min_separation
 
 
 @dataclass(frozen=True)
@@ -165,17 +159,17 @@ class CoherenceResult:
 
 
 @dataclass(frozen=True)
-class DesignTraceResult:
-    """Rows (iter, eta, mu_max) of a single design run."""
+class Table:
+    """A CSV table: the header names and the rows, written as given."""
 
+    header: tuple
     rows: tuple
 
-    def csv_header(self) -> list[str]:
-        return ["iter", "eta", "mu_max"]
+    def csv_header(self) -> tuple:
+        return self.header
 
-    def csv_rows(self):
-        for r in self.rows:
-            yield list(r)
+    def csv_rows(self) -> tuple:
+        return self.rows
 
 
 def mse_frequencies(truth: np.ndarray, est: np.ndarray) -> float:
@@ -207,8 +201,8 @@ def draw_scene(cfg: SweepConfig, trial_seed: int) -> SourceScene:
     waveforms. Deterministic per trial_seed; rejection sampling with a
     capped redraw budget.
     """
-    bound = cfg.scene_bound
-    sep = cfg.separation
+    bound = cfg.nu_max if cfg.scene_nu_max is None else cfg.scene_nu_max
+    sep = 2.0 * cfg.nu_max / cfg.P if cfg.min_separation is None else cfg.min_separation
     if cfg.K > 1 and (cfg.K - 1) * sep > bound:
         raise ValueError(
             f"cannot place K={cfg.K} sources with separation {sep:.4g} inside [0, {bound:.4g}]"
@@ -252,7 +246,7 @@ def build_projection(kind: str, dictionary: Dictionary, cfg: SweepConfig, seed: 
     return trace.final_phi, trace
 
 
-def run_design_trace(cfg: SweepConfig) -> DesignTraceResult:
+def run_design_trace(cfg: SweepConfig) -> Table:
     """The design run of cfg.projection_kind as (iter, eta, mu_max) rows:
     the best-alpha run for designed and gd_prior_a, the one alpha = inf
     run for gd_prior_b. dft and random are not designed and raise
@@ -265,7 +259,7 @@ def run_design_trace(cfg: SweepConfig) -> DesignTraceResult:
         (t, float(trace.objective_per_iter[t]), float(trace.coherence_per_iter[t]))
         for t in range(trace.coherence_per_iter.size)
     )
-    return DesignTraceResult(rows=rows)
+    return Table(("iter", "eta", "mu_max"), rows)
 
 
 def run_coherence_experiment(cfg: SweepConfig) -> CoherenceResult:
@@ -353,18 +347,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit_csv(result, path) -> None:
-    """Write a result's rows as CSV with deterministic order and formatting.
+def emit_csv(result, path=None) -> None:
+    """Write a result's header and rows as CSV to path, or to stdout if path
+    is None, with deterministic order and formatting.
 
     Numbers are printed with 9 significant digits. The sweep runtime
     (SweepRow.mean_runtime_s) is never written, so that identical
     configurations produce byte-identical files.
     """
+    text = "".join(",".join(map(_format_value, row)) + "\n" for row in (result.csv_header(), *result.csv_rows()))
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(result.csv_header()) + "\n")
-            for row in result.csv_rows():
-                fh.write(",".join(_format_value(v) for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -82,14 +82,7 @@ def _run_estimate(cfg: bench.SweepConfig, y_path: str, out_path: str | None) -> 
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = bench.build_projection(cfg.projection_kind, dictionary, cfg)
     result = estimate(y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max)
-    lines = ["k,nu_hat"]
-    lines += [f"{k},{v:.9g}" for k, v in enumerate(result.nu_hat)]
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    bench.emit_csv(bench.Table(("k", "nu_hat"), tuple(enumerate(result.nu_hat))), out_path)
 
 
 def cli(argv=None) -> int:

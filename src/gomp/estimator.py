@@ -18,11 +18,12 @@ which (stop_reason) and after how many accepted steps (n_iter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_model import Dictionary, steering_matrix
+from .array_model import Dictionary, steering_gradient, steering_matrix
 
 _PINV_RTOL = 1e-12
 
@@ -252,12 +253,11 @@ def refine_multi(
     x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
     if x.shape[0] != nu.size:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
-    ramp = 1j * np.arange(phi_mat.shape[1])[:, None]
     a, w, x, r, eps = _fit(y, phi_mat, nu, x)
     history = [eps]
     stop = "max_steps"
     for _ in range(max_steps):
-        vg = phi_mat @ (ramp * a)
+        vg = phi_mat @ steering_gradient(a)
         nu_new = nu + delta_step(r, vg - w @ (w.conj().T @ vg), x)
         fit = _fit(y, phi_mat, nu_new)
         if not fit[4] < eps:
@@ -283,9 +283,22 @@ def estimate(
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array. The
     sensing matrix Psi = Phi A_ring is formed on each call unless the
     caller passes it as ``psi``, as a sweep does to form it once.
+
+    Both stages run on Y / 2^e, 2^e the power of two just above Y's largest
+    real or imaginary part, and X_hat and the histories are scaled back by
+    2^e and 4^e (a history entry beyond the float range reads inf or 0).
+    The scaling is exact, so the estimate does not depend on the scale of
+    Y, and it keeps OMP's scores and the squared residuals in range. A
+    non-finite or all-zero Y has e = 0 and reaches omp, which rejects it.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     if psi is None:
         psi = phi_mat @ dictionary.A_ring
+    y = np.ascontiguousarray(y, dtype=complex).view(float)
+    e = math.frexp(np.abs(y).max(initial=0.0))[1]
+    y = np.ldexp(y, -e).view(complex)
     indices, x0 = omp(y, psi, k)
-    return refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices)
+    result = refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices)
+    with np.errstate(over="ignore"):
+        return replace(result, X_hat=np.ldexp(result.X_hat.view(float), e).view(complex),
+                       histories=(np.ldexp(result.histories[0], 2 * e),))

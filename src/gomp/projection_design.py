@@ -100,10 +100,6 @@ class DesignTrace:
             raise ValueError("coherence values must lie in [0, 1]")
 
     @property
-    def initial_coherence(self) -> float:
-        return float(self.coherence_per_iter[0])
-
-    @property
     def final_coherence(self) -> float:
         return float(self.coherence_per_iter[self.best_iter])
 

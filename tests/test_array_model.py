@@ -1,7 +1,7 @@
 """Array model tests.
 
-Steering vector/gradient values and the finite-difference oracle for the
-gradient, dictionary grid layout and row orthogonality, SNR calibration
+Steering matrix and gradient values and the finite-difference oracle for
+the gradient, dictionary grid layout and row orthogonality, SNR calibration
 (closed form and Monte Carlo), and synthesis determinism.
 """
 
@@ -16,7 +16,6 @@ from gomp.array_model import (
     noise_scale_for_snr,
     steering_gradient,
     steering_matrix,
-    steering_vector,
     synthesize_measurements,
 )
 from gomp.projection_design import random_cm_projection
@@ -25,15 +24,15 @@ from gomp.projection_design import random_cm_projection
 # ---------------------------------------------------------------- steering
 
 def test_steering_vector_zero_frequency():
-    assert np.allclose(steering_vector(0.0, 4), np.ones(4))
+    assert np.allclose(steering_matrix(0.0, 4)[:, 0], np.ones(4))
 
 
 def test_steering_vector_pi():
-    assert np.allclose(steering_vector(np.pi, 2), [1.0, -1.0])
+    assert np.allclose(steering_matrix(np.pi, 2)[:, 0], [1.0, -1.0])
 
 
 def test_steering_vector_quarter_turn():
-    assert np.allclose(steering_vector(np.pi / 2, 3), [1.0, 1j, -1.0])
+    assert np.allclose(steering_matrix(np.pi / 2, 3)[:, 0], [1.0, 1j, -1.0])
 
 
 def test_steering_vector_unit_modulus():
@@ -41,34 +40,36 @@ def test_steering_vector_unit_modulus():
     for _ in range(50):
         nu = rng.uniform(-10, 10)
         m = int(rng.integers(1, 100))
-        assert np.max(np.abs(np.abs(steering_vector(nu, m)) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(steering_matrix(nu, m)[:, 0]) - 1.0)) < 1e-12
 
 
 def test_steering_vector_rejects_bad_args():
     with pytest.raises(ValueError):
-        steering_vector(0.0, 0)
+        steering_matrix(0.0, 0)
     with pytest.raises(ValueError):
-        steering_vector(np.nan, 4)
+        steering_matrix(np.nan, 4)
 
 
 def test_steering_gradient_zero_frequency():
-    assert np.allclose(steering_gradient(0.0, 3), [0.0, 1j, 2j])
+    assert np.allclose(steering_gradient(steering_matrix(0.0, 3))[:, 0], [0.0, 1j, 2j])
 
 
 def test_steering_gradient_pi():
-    assert np.allclose(steering_gradient(np.pi, 2), [0.0, -1j])
+    assert np.allclose(steering_gradient(steering_matrix(np.pi, 2))[:, 0], [0.0, -1j])
 
 
 def test_steering_gradient_matches_finite_differences():
-    """Central finite differences of the steering vector are the oracle."""
+    """Central finite differences of the steering matrix are the oracle,
+    column by column."""
     h = 1e-6
-    fd = (steering_vector(0.3 + h, 8) - steering_vector(0.3 - h, 8)) / (2 * h)
-    assert np.max(np.abs(steering_gradient(0.3, 8) - fd)) < 1e-8
+    fd = (steering_matrix(0.3 + h, 8) - steering_matrix(0.3 - h, 8)) / (2 * h)
+    assert np.max(np.abs(steering_gradient(steering_matrix(0.3, 8)) - fd)) < 1e-8
     # truncation error grows with m; the general contract is relative
-    for nu, m in [(1.7, 3), (-2.5, 33), (6.1, 64)]:
-        fd = (steering_vector(nu + h, m) - steering_vector(nu - h, m)) / (2 * h)
-        g = steering_gradient(nu, m)
-        assert np.linalg.norm(g - fd) < 1e-7 * np.linalg.norm(g), f"nu={nu}, m={m}"
+    nus = np.array([1.7, -2.5, 6.1])
+    for m in (3, 33, 64):
+        fd = (steering_matrix(nus + h, m) - steering_matrix(nus - h, m)) / (2 * h)
+        g = steering_gradient(steering_matrix(nus, m))
+        assert (np.linalg.norm(g - fd, axis=0) < 1e-7 * np.linalg.norm(g, axis=0)).all(), f"m={m}"
 
 
 def test_steering_gradient_fd_relative_error_random():
@@ -77,8 +78,8 @@ def test_steering_gradient_fd_relative_error_random():
     for _ in range(25):
         nu = float(rng.uniform(-np.pi, 2 * np.pi))
         m = int(rng.integers(2, 80))
-        fd = (steering_vector(nu + h, m) - steering_vector(nu - h, m)) / (2 * h)
-        g = steering_gradient(nu, m)
+        fd = (steering_matrix(nu + h, m) - steering_matrix(nu - h, m)) / (2 * h)
+        g = steering_gradient(steering_matrix(nu, m))
         assert np.linalg.norm(g - fd) < 1e-7 * max(np.linalg.norm(g), 1.0)
 
 
@@ -86,7 +87,7 @@ def test_steering_matrix_stacks_columns():
     nus = np.array([0.1, 0.9, 2.2])
     a = steering_matrix(nus, 5)
     for k, nu in enumerate(nus):
-        assert np.array_equal(a[:, k], steering_vector(nu, 5))
+        assert np.array_equal(a[:, k], steering_matrix(nu, 5)[:, 0])
 
 
 # -------------------------------------------------------------- dictionary

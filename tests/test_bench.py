@@ -96,8 +96,7 @@ def test_draw_scene_deterministic():
 
 def test_draw_scene_range_and_separation():
     cfg = _cfg(K=3, N=8, M=16, P=32, nu_max=2 * np.pi)
-    sep = cfg.separation
-    assert sep == pytest.approx(2 * 2 * np.pi / 32)
+    sep = 2 * 2 * np.pi / 32  # min_separation defaults to two grid cells
     for seed in range(10_000):
         nu = draw_scene(cfg, seed).nu
         assert nu.min() >= 0 and nu.max() <= cfg.nu_max

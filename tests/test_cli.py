@@ -6,10 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from gomp.array_model import build_dictionary
+from gomp.array_model import build_dictionary, steering_matrix
 from gomp.bench import write_measurements_csv
 from gomp.cli import cli
 from gomp.projection_design import random_cm_projection
+
+
+def _cn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def _write_cfg(tmp_path, **kw):
@@ -199,6 +203,37 @@ def test_estimate_subcommand_reads_y(tmp_path, capsys):
     assert lines[0] == "k,nu_hat"
     nu_hat = float(lines[1].split(",")[1])
     assert nu_hat == pytest.approx(d.grid[7], abs=1e-6)
+
+
+def _write_y(tmp_path, scale):
+    """Two sources at 20 dB seen through the seed-5 random projection of an
+    (N, M, P, K, L) = (4, 8, 16, 2, 6) config, times scale."""
+    phi = random_cm_projection(4, 8, seed=5).phi
+    rng = np.random.default_rng(9)
+    y = phi @ steering_matrix([1.1, 3.9], 8) @ _cn(rng, 2, 6) + 0.1 * _cn(rng, 4, 6)
+    path = tmp_path / f"y{scale:g}.csv"
+    write_measurements_csv(y * scale, path)
+    return str(path)
+
+
+def test_estimate_output_does_not_depend_on_the_scale_of_y(tmp_path, capsys):
+    """Y * 1e160 and Y * 1e-300 print the unit-scale estimate, although
+    OMP's scores and the squared residuals of such a Y overflow or
+    underflow."""
+    cfg = _write_cfg(tmp_path, N=4, M=8, P=16, K=2, L=6, projection_kind="random")
+    outputs = []
+    for scale in (1.0, 1e160, 1e-300):
+        assert cli(["estimate", "--config", cfg, "--seed", "5", "--y", _write_y(tmp_path, scale)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("k,nu_hat\n0,")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_estimate_unwritable_out_fails_naming_it(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, N=4, M=8, P=16, K=2, L=6, projection_kind="random")
+    out = tmp_path / "no" / "such" / "est.csv"
+    assert cli(["estimate", "--config", cfg, "--seed", "5", "--y", _write_y(tmp_path, 1.0), "--out", str(out)]) == 2
+    assert f"cannot write CSV to {out}" in capsys.readouterr().err
 
 
 def test_estimate_dimension_mismatch_runtime_error(tmp_path, capsys):

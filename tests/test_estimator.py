@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gomp.array_model import build_dictionary, steering_gradient, steering_matrix, steering_vector
+from gomp.array_model import build_dictionary, steering_gradient, steering_matrix
 from gomp.estimator import (
     EstimationResult,
     delta_step,
@@ -158,7 +158,7 @@ def test_ls_signal_exact_on_model_match():
     phi = random_cm_projection(8, 32, seed=3).phi
     nu = 1.234
     x = _cn(rng, 16)
-    y = np.outer(phi @ steering_vector(nu, 32), x)
+    y = np.outer(phi @ steering_matrix(nu, 32)[:, 0], x)
     assert np.linalg.norm(ls_signal(y, phi, nu) - x) < 1e-10
 
 
@@ -188,7 +188,7 @@ def test_ls_signal_residual_orthogonality():
         nu = float(rng.uniform(0, 2 * np.pi))
         y = _cn(rng, 8, 6)
         x = ls_signal(y, phi, nu)
-        v = phi @ steering_vector(nu, 32)
+        v = phi @ steering_matrix(nu, 32)[:, 0]
         inner = v.conj() @ (y - np.outer(v, x))
         assert np.max(np.abs(inner)) < 1e-9
 
@@ -199,8 +199,8 @@ def _step(y, phi, nu, x):
     """delta_step at (nu, x), handed the residual Y - Phi a(nu) x^T and the
     projected steering gradient Phi g(nu)."""
     m = phi.shape[1]
-    resid = y - np.outer(phi @ steering_vector(nu, m), x)
-    return delta_step(resid, (phi @ steering_gradient(nu, m))[:, None], x[None, :])[0]
+    resid = y - np.outer(phi @ steering_matrix(nu, m)[:, 0], x)
+    return delta_step(resid, phi @ steering_gradient(steering_matrix(nu, m)), x[None, :])[0]
 
 
 def test_delta_zero_at_exact_frequency():
@@ -208,7 +208,7 @@ def test_delta_zero_at_exact_frequency():
     phi = random_cm_projection(8, 32, seed=5).phi
     nu = 2.1
     x = _cn(rng, 12)
-    y = np.outer(phi @ steering_vector(nu, 32), x)
+    y = np.outer(phi @ steering_matrix(nu, 32)[:, 0], x)
     assert abs(_step(y, phi, nu, x)) < 1e-10
 
 
@@ -219,7 +219,7 @@ def test_delta_first_order_accuracy():
     nu_ring = 0.9
     x = _cn(rng, 16)
     for d_true, tol in [(1e-3, 1e-5), (1e-4, 1e-7)]:
-        y = np.outer(phi @ steering_vector(nu_ring + d_true, 64), x)
+        y = np.outer(phi @ steering_matrix(nu_ring + d_true, 64)[:, 0], x)
         d_hat = _step(y, phi, nu_ring, x)
         assert abs(d_hat - d_true) <= tol, f"d_true={d_true}: d_hat={d_hat}"
 
@@ -231,7 +231,7 @@ def test_delta_quadratic_error_ratio_bounded():
     x = _cn(rng, 16)
     ratios = []
     for d_true in (1e-4, 1e-3, 1e-2):
-        y = np.outer(phi @ steering_vector(nu_ring + d_true, 64), x)
+        y = np.outer(phi @ steering_matrix(nu_ring + d_true, 64)[:, 0], x)
         ratios.append(abs(_step(y, phi, nu_ring, x) - d_true) / d_true**2)
     print(f"\n  error/delta^2 ratios: {ratios}")
     assert max(ratios) < 50.0
@@ -241,7 +241,7 @@ def test_delta_sign():
     rng = np.random.default_rng(29)
     phi = random_cm_projection(16, 64, seed=8).phi
     x = _cn(rng, 16)
-    y = np.outer(phi @ steering_vector(1.5 - 1e-3, 64), x)
+    y = np.outer(phi @ steering_matrix(1.5 - 1e-3, 64)[:, 0], x)
     assert _step(y, phi, 1.5, x) < 0
 
 
@@ -257,8 +257,8 @@ def test_delta_matches_kron_reference():
         nu = float(rng.uniform(0, 2 * np.pi))
         x = _cn(rng, l)
         y = _cn(rng, n, l)
-        va = phi @ steering_vector(nu, m)
-        kg = np.kron(x, phi @ steering_gradient(nu, m))
+        va = phi @ steering_matrix(nu, m)[:, 0]
+        kg = np.kron(x, phi @ steering_gradient(steering_matrix(nu, m))[:, 0])
         ref = np.real(kg.conj() @ (y.reshape(-1, order="F") - np.kron(x, va))) / np.real(kg.conj() @ kg)
         assert abs(_step(y, phi, nu, x) - ref) <= 1e-12 * abs(ref), f"trial {trial}"
 
@@ -278,7 +278,7 @@ def test_delta_step_matches_dense_joint_least_squares():
         phi = random_cm_projection(n, m, seed=400 + trial).phi
         nu = 2 * np.pi * (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k
         v = phi @ steering_matrix(nu, m)
-        vg = np.column_stack([phi @ steering_gradient(f, m) for f in nu])
+        vg = phi @ steering_gradient(steering_matrix(nu, m))
         y = v @ _cn(rng, k, l) + 0.2 * _cn(rng, n, l)
         x = np.linalg.lstsq(v, y, rcond=None)[0]
         if trial % 2:
@@ -306,11 +306,11 @@ def test_residual_cost_values():
     rng = np.random.default_rng(30)
     phi = random_cm_projection(4, 8, seed=10).phi
     x = _cn(rng, 5)
-    y = np.outer(phi @ steering_vector(0.3, 8), x)
+    y = np.outer(phi @ steering_matrix(0.3, 8)[:, 0], x)
     assert residual_cost(y, phi, 0.3, x) == 0.0
     assert residual_cost(y, phi, 0.3, np.zeros(5)) == pytest.approx(np.linalg.norm(y) ** 2)
     y2 = _cn(rng, 4, 5)
-    v = phi @ steering_vector(1.1, 8)
+    v = phi @ steering_matrix(1.1, 8)[:, 0]
     assert residual_cost(y2, phi, 1.1, x) == pytest.approx(
         np.linalg.norm(y2 - np.outer(v, x)) ** 2
     )
@@ -324,7 +324,7 @@ def test_refine_exact_start_terminates_immediately():
     phi = random_cm_projection(8, 16, seed=11).phi
     nu = 0.77
     x = _cn(rng, 6)
-    y = np.outer(phi @ steering_vector(nu, 16), x)
+    y = np.outer(phi @ steering_matrix(nu, 16)[:, 0], x)
     result = refine_single(y, phi, nu, x, 10)
     assert result.nu_hat[0] == nu
     assert result.n_iter == 0 and result.histories[0][0] == 0.0
@@ -338,8 +338,8 @@ def test_refine_rejected_first_update_returns_input():
     nu_a, nu_b = r.uniform(0, 2 * np.pi, 2)
     xa = r.standard_normal(4) + 1j * r.standard_normal(4)
     xb = r.standard_normal(4) + 1j * r.standard_normal(4)
-    y = np.outer(phi @ steering_vector(nu_a, 16), xa) + np.outer(
-        phi @ steering_vector(nu_b, 16), xb
+    y = np.outer(phi @ steering_matrix(nu_a, 16)[:, 0], xa) + np.outer(
+        phi @ steering_matrix(nu_b, 16)[:, 0], xb
     )
     nu0 = float(r.uniform(0, 2 * np.pi))
     c = r.standard_normal() + 1j * r.standard_normal()
@@ -360,7 +360,7 @@ def test_refine_history_nonincreasing_random_instances():
         phi = random_cm_projection(n, m, seed=trial).phi
         nu_true = float(rng.uniform(0, 2 * np.pi))
         x = _cn(rng, l)
-        y = np.outer(phi @ steering_vector(nu_true, m), x)
+        y = np.outer(phi @ steering_matrix(nu_true, m)[:, 0], x)
         if rng.random() < 0.7:
             y = y + float(rng.uniform(0, 1)) * _cn(rng, n, l)
         nu0 = nu_true + float(rng.uniform(-0.1, 0.1))
@@ -381,7 +381,7 @@ def test_refine_single_pass_reduces_halfcell_offset():
         p = int(rng.integers(0, 64))
         nu_true = d.grid[p] + half
         x = _cn(rng, 16)
-        y = np.outer(phi.phi @ steering_vector(nu_true, 64), x)
+        y = np.outer(phi.phi @ steering_matrix(nu_true, 64)[:, 0], x)
         x0 = ls_signal(y, phi.phi, d.grid[p])
         nu_hat = refine_single(y, phi.phi, d.grid[p], x0, 10).nu_hat[0]
         assert abs(nu_hat - nu_true) < half / 4, "offset not contracted"
@@ -399,15 +399,15 @@ def test_refine_single_equals_public_kernel_loop():
         l = int(rng.integers(1, 10))
         phi = random_cm_projection(n, m, seed=100 + trial).phi
         nu_true = float(rng.uniform(0, 2 * np.pi))
-        y = np.outer(phi @ steering_vector(nu_true, m), _cn(rng, l)) + 0.2 * _cn(rng, n, l)
+        y = np.outer(phi @ steering_matrix(nu_true, m)[:, 0], _cn(rng, l)) + 0.2 * _cn(rng, n, l)
         nu = nu_true + float(rng.uniform(-0.1, 0.1))
         x = ls_signal(y, phi, nu)
         result = refine_single(y, phi, nu, x, steps)
         eps = residual_cost(y, phi, nu, x)
         ref = [eps]
         for _ in range(steps):
-            v = phi @ steering_vector(nu, m)
-            vg = phi @ steering_gradient(nu, m)[:, None]
+            v = phi @ steering_matrix(nu, m)[:, 0]
+            vg = phi @ steering_gradient(steering_matrix(nu, m))
             w = v[:, None] / np.sqrt(np.vdot(v, v).real)
             resid = y - np.outer(v, x)
             nu_new = nu + delta_step(resid, vg - w @ (w.conj().T @ vg), x[None, :])[0]
@@ -440,7 +440,7 @@ def test_refine_single_forms_each_iterate_once(monkeypatch):
     for trial in range(10):
         phi = random_cm_projection(8, 32, seed=200 + trial).phi
         nu_true = float(rng.uniform(0, 2 * np.pi))
-        y = np.outer(phi @ steering_vector(nu_true, 32), _cn(rng, 6)) + 0.3 * _cn(rng, 8, 6)
+        y = np.outer(phi @ steering_matrix(nu_true, 32)[:, 0], _cn(rng, 6)) + 0.3 * _cn(rng, 8, 6)
         nu0 = nu_true + float(rng.uniform(-0.1, 0.1))
         x0 = ls_signal(y, phi, nu0)
         calls.update(steering=0, steps=0)
@@ -470,15 +470,15 @@ def test_refine_single_step_is_variable_projection_step(monkeypatch):
         l = int(rng.integers(1, 10))
         phi = random_cm_projection(n, m, seed=300 + trial).phi
         nu_true = float(rng.uniform(0, 2 * np.pi))
-        y = np.outer(phi @ steering_vector(nu_true, m), _cn(rng, l)) + 0.2 * _cn(rng, n, l)
+        y = np.outer(phi @ steering_matrix(nu_true, m)[:, 0], _cn(rng, l)) + 0.2 * _cn(rng, n, l)
         nu = nu_true + float(rng.uniform(-0.1, 0.1))
         x = ls_signal(y, phi, nu)
         if trial % 2:
             x = x * (1 + 0.3 * _cn(rng, l)) + 0.1 * _cn(rng, l)
         steps.clear()
         refine_single(y, phi, nu, x, 1)
-        v = phi @ steering_vector(nu, m)
-        kg = np.kron(x, phi @ steering_gradient(nu, m))
+        v = phi @ steering_matrix(nu, m)[:, 0]
+        kg = np.kron(x, phi @ steering_gradient(steering_matrix(nu, m))[:, 0])
         kv = np.kron(np.eye(l), v[:, None])
         dense = np.block([[kg.real[:, None], kv.real, -kv.imag], [kg.imag[:, None], kv.imag, kv.real]])
         r = (y - np.outer(v, x)).reshape(-1, order="F")
@@ -496,7 +496,7 @@ def test_refine_single_pass_converges_from_halfcell_offset():
     for trial in range(10):
         p = int(rng.integers(0, 64))
         nu_true = d.grid[p] + half
-        y = np.outer(phi.phi @ steering_vector(nu_true, 64), _cn(rng, 16))
+        y = np.outer(phi.phi @ steering_matrix(nu_true, 64)[:, 0], _cn(rng, 16))
         x0 = ls_signal(y, phi.phi, d.grid[p])
         nu_hat = refine_single(y, phi.phi, d.grid[p], x0, 10).nu_hat[0]
         assert abs(nu_hat - nu_true) <= 1e-6, f"trial {trial}: error {abs(nu_hat - nu_true):.3e}"
@@ -511,7 +511,7 @@ def test_refine_multi_single_source_equals_repeated_single():
     phi = random_cm_projection(8, 32, seed=12).phi
     nu_true = 1.9
     x = _cn(rng, 8)
-    y = np.outer(phi @ steering_vector(nu_true, 32), x) + 0.05 * _cn(rng, 8, 8)
+    y = np.outer(phi @ steering_matrix(nu_true, 32)[:, 0], x) + 0.05 * _cn(rng, 8, 8)
     nu0 = nu_true + 0.03
     x0 = ls_signal(y, phi, nu0)
     result = refine_multi(y, phi, [nu0], x0[None, :], 20)
@@ -583,7 +583,7 @@ def test_refine_multi_reduces_total_residual():
         resid0 = np.linalg.norm(y - psi[:, indices] @ x0) ** 2
         result = refine_multi(y, phi.phi, d.grid[indices], x0, 50)
         model = sum(
-            np.outer(phi.phi @ steering_vector(result.nu_hat[i], 64), result.X_hat[i])
+            np.outer(phi.phi @ steering_matrix(result.nu_hat[i], 64)[:, 0], result.X_hat[i])
             for i in range(k)
         )
         resid = np.linalg.norm(y - model) ** 2
@@ -642,12 +642,37 @@ def test_step_budget_below_one_is_rejected_and_named():
         estimate(y, phi, d, 1, 0)
 
 
+@pytest.mark.parametrize("j", [-1000, -100, 0, 100, 500])
+def test_estimate_is_exactly_scale_invariant(j):
+    """estimate works on Y over a power of two, so Y * 2^j gives bitwise
+    the same frequencies and grid indices and X_hat * 2^j, also where
+    OMP's scores and the squared residuals of Y itself leave the float
+    range. At unit scale it is bitwise omp plus refine_multi on Y as given,
+    histories included."""
+    phi = random_cm_projection(8, 32, seed=61).phi
+    d = build_dictionary(64, 2 * np.pi, 32)
+    rng = np.random.default_rng(61)
+    y = phi @ steering_matrix([0.7, 2.9, 4.4], 32) @ _cn(rng, 3, 8) + 0.05 * _cn(rng, 8, 8)
+    ref = estimate(y, phi, d, 3, 50)
+    assert ref.n_iter >= 2
+    got = estimate(y * 2.0**j, phi, d, 3, 50)
+    assert np.array_equal(got.nu_hat, ref.nu_hat)
+    assert np.array_equal(got.initial_grid_indices, ref.initial_grid_indices)
+    assert np.array_equal(got.X_hat * 2.0**-j, ref.X_hat)
+    if j == 0:
+        indices, x0 = omp(y, phi @ d.A_ring, 3)
+        direct = refine_multi(y, phi, d.grid[indices], x0, 50)
+        assert np.array_equal(got.nu_hat, direct.nu_hat)
+        assert np.array_equal(got.X_hat, direct.X_hat)
+        assert np.array_equal(got.histories[0], direct.histories[0])
+
+
 def test_estimation_result_converged_reads_last_pass():
     """converged reads stop_reason: true only when the refinement stalled
     rather than ran out its budget; n_iter counts the accepted steps."""
     phi = random_cm_projection(8, 32, seed=14).phi
     rng = np.random.default_rng(50)
-    y = np.outer(phi @ steering_vector(1.2, 32), _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
+    y = np.outer(phi @ steering_matrix(1.2, 32)[:, 0], _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
     x0 = ls_signal(y, phi, 1.25)[None, :]
     short = refine_multi(y, phi, [1.25], x0, 10)
     long = refine_multi(y, phi, [1.25], x0, 400)
