@@ -101,6 +101,8 @@ def test_draw_scene_range_and_separation():
         nu = draw_scene(cfg, seed).nu
         assert nu.min() >= 0 and nu.max() <= cfg.nu_max
         assert np.min(np.diff(np.sort(nu))) >= sep
+    with pytest.raises(ValueError, match=f"with separation {sep:.4g} inside"):
+        draw_scene(_cfg(K=3, N=8, M=16, P=32, nu_max=2 * np.pi, scene_nu_max=0.5), 0)
 
 
 def test_draw_scene_infeasible_separation():

@@ -206,8 +206,8 @@ def test_estimate_subcommand_reads_y(tmp_path, capsys):
 
 
 def _write_y(tmp_path, scale):
-    """Two sources at 20 dB seen through the seed-5 random projection of an
-    (N, M, P, K, L) = (4, 8, 16, 2, 6) config, times scale."""
+    """Two sources plus weak noise seen through the seed-5 random projection
+    of an (N, M, P, K, L) = (4, 8, 16, 2, 6) config, times scale."""
     phi = random_cm_projection(4, 8, seed=5).phi
     rng = np.random.default_rng(9)
     y = phi @ steering_matrix([1.1, 3.9], 8) @ _cn(rng, 2, 6) + 0.1 * _cn(rng, 4, 6)
