@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,12 +28,20 @@ def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
     return np.exp(1j * (np.arange(m)[:, None] * nu))
 
 
+@lru_cache(maxsize=None)
+def _ramp(m: int) -> np.ndarray:
+    """The read-only m-by-1 column 1j * [0, 1, ..., m-1]."""
+    ramp = 1j * np.arange(m)[:, None]
+    ramp.setflags(write=False)
+    return ramp
+
+
 def steering_gradient(a: np.ndarray) -> np.ndarray:
     """Derivative of the steering matrix a = steering_matrix(nu, m) with
     respect to its frequencies: column k is d a[:, k] / d nu[k], so entry
-    (i, k) equals 1j * i * a[i, k].
+    (i, k) equals 1j * i * a[i, k]. The column 1j * i is built once per m.
     """
-    return 1j * np.arange(a.shape[0])[:, None] * a
+    return _ramp(a.shape[0]) * a
 
 
 @dataclass(frozen=True)

@@ -289,15 +289,16 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
     """MSE of the on-grid start and of the refined estimate versus SNR.
 
     One projection is designed (or drawn) per configuration and shared by
-    all trials, and so is its sensing matrix. Each trial draws a scene,
-    synthesizes measurements at the target SNR, runs the estimator, and
-    scores both the OMP grid frequencies and the refined frequencies
-    against the truth. Trials whose estimator fails are counted, not
+    all trials, and so are its sensing matrix and that matrix's column
+    norms. Each trial draws a scene, synthesizes measurements at the
+    target SNR, runs the estimator, and scores both the OMP grid
+    frequencies and the refined frequencies against the truth. Trials whose estimator fails are counted, not
     silently dropped; averages use the successful trials only.
     """
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection(cfg.projection_kind, dictionary, cfg)
     psi = phi.phi @ dictionary.A_ring
+    psi_norms = np.linalg.norm(psi, axis=0)
     ula = UlaConfig(M=cfg.M)
     rows = []
     for snr_index, snr_db in enumerate(cfg.snr_grid_db):
@@ -316,7 +317,8 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
             )
             start = time.perf_counter()
             try:
-                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max, psi=psi)
+                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max, psi=psi,
+                                  psi_norms=psi_norms)
             except (ValueError, np.linalg.LinAlgError):
                 failed += 1
                 continue

@@ -11,21 +11,29 @@ refinement is Gauss-Newton on the separable least-squares problem and
 converges in a few steps; the paper's frozen-waveform Taylor step is its
 special case. The paper's i_max Taylor steps inside j_max sweeps over the
 sources thus become one budget of joint steps (a config file sets it as
-i_max * j_max). The refinement ends at its first step that does not lower
-the residual or when that budget is spent, and its EstimationResult says
-which (stop_reason) and after how many accepted steps (n_iter).
+i_max * j_max). The refinement ends for one of three reasons, which its
+EstimationResult names (stop_reason) along with the number of accepted
+steps (n_iter): "converged" when the linear model of the next step
+predicts a decrease of the squared residual of at most sqrt(eps) of it,
+the predicted-reduction test of MINPACK with its default ftol (More,
+Garbow & Hillstrom 1980), checked before that step is paid for;
+"stalled" when an evaluated step does not strictly lower the residual;
+"max_steps" when the budget is spent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import Dictionary, steering_gradient, steering_matrix
 
 _PINV_RTOL = 1e-12
+# a step whose predicted decrease of ||R||^2 is at most this share of it
+# is not taken: MINPACK's default ftol, the square root of the machine epsilon
+_FTOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -34,8 +42,9 @@ class EstimationResult:
 
     histories holds one array, the strictly decreasing accepted squared
     residuals of the refinement from its start point; stop_reason is
-    "stalled" (a step no longer lowered the residual) or "max_steps" (the
-    step budget ran out).
+    "converged" (the next step's predicted decrease was at most sqrt(eps)
+    of the residual), "stalled" (an evaluated step did not lower the
+    residual) or "max_steps" (the step budget ran out).
     """
 
     nu_hat: np.ndarray
@@ -49,8 +58,8 @@ class EstimationResult:
         x = np.atleast_2d(np.asarray(self.X_hat, dtype=complex))
         if not np.isfinite(nu).all():
             raise ValueError("estimated frequencies must be finite")
-        if self.stop_reason not in ("stalled", "max_steps"):
-            raise ValueError(f"stop_reason must be 'stalled' or 'max_steps', got {self.stop_reason!r}")
+        if self.stop_reason not in ("converged", "stalled", "max_steps"):
+            raise ValueError(f"stop_reason must be 'converged', 'stalled' or 'max_steps', got {self.stop_reason!r}")
         nu.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "nu_hat", nu)
@@ -64,7 +73,7 @@ class EstimationResult:
     @property
     def converged(self) -> bool:
         """True if the refinement stopped by itself rather than at its budget."""
-        return self.stop_reason == "stalled"
+        return self.stop_reason != "max_steps"
 
 
 def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +99,7 @@ def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, coeffs if vh is None else vh.conj().T @ coeffs
 
 
-def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
+def omp(y: np.ndarray, psi, k: int, col_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous OMP over L snapshots.
 
     Greedily selects k dictionary columns: each round scores every column p
@@ -106,6 +115,9 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
         Sensing matrix whose columns are candidate responses.
     k : int
         Number of columns to select, at most N.
+    col_norms : (P,) float array
+        The Euclidean norms of psi's columns, which the caller forms once
+        with psi (np.linalg.norm(psi, axis=0)).
 
     Returns
     -------
@@ -127,12 +139,13 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"cannot select K={k} columns from P={p}")
     if not y.any():
         raise ValueError("measurement matrix is zero; OMP has nothing to select")
-    col_norms = np.linalg.norm(mat, axis=0)
+    if np.shape(col_norms) != (p,):
+        raise ValueError(f"col_norms has shape {np.shape(col_norms)}, the sensing matrix has {p} columns")
     if (col_norms == 0).any():
         raise ValueError("sensing matrix has a zero column")
     residual = y
     chosen: list[int] = []
-    for _ in range(k):
+    while True:
         # psi^T conj(R) is the conjugate of psi^H R; forming it spares a
         # conjugated copy of psi, and numpy's matmul is slower on that copy
         corr = (mat.T @ residual.conj()).view(float)
@@ -140,8 +153,9 @@ def omp(y: np.ndarray, psi, k: int) -> tuple[np.ndarray, np.ndarray]:
         scores[chosen] = -1.0
         chosen.append(int(np.argmax(scores)))
         coeffs = _solve_pinv(mat[:, chosen], y)[1]
+        if len(chosen) == k:
+            return np.array(chosen), coeffs
         residual = y - mat[:, chosen] @ coeffs
-    return np.array(chosen), coeffs
 
 
 def _fit(
@@ -174,7 +188,7 @@ def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
     return _fit(y, np.asarray(phi, dtype=complex), [nu], np.asarray(x, dtype=complex)[None, :])[4]
 
 
-def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Real frequency corrections from the linearized steering model.
 
     The vectorized least-squares problem of the paper for all K sources
@@ -192,9 +206,12 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     step: the real delta of min ||R - sum_k delta_k u_k x_k^T - V dX||
     over delta and dX, for any X, not only the least-squares fit.
 
-    Takes U (N, K) and X (K, L) and returns the K-vector. Raises
-    ValueError, naming source k, if a diagonal entry ||u_k||^2 ||x_k||^2
-    is zero.
+    Takes U (N, K) and X (K, L) and returns the K-vector delta together
+    with b^T delta, the decrease of ||R||_F^2 that the linear model
+    predicts for it: at M delta = b the model residual
+    ||R||^2 - 2 b^T delta + delta^T M delta equals ||R||^2 - b^T delta.
+    Raises ValueError, naming source k, if a diagonal entry
+    ||u_k||^2 ||x_k||^2 is zero.
     """
     u_h, x_c = u.conj().T, x.conj()
     gram = ((u_h @ u) * (x_c @ x.T)).real
@@ -204,7 +221,8 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
                          "(projected) gradient response is zero; delta is unidentifiable")
     b = (u_h.T * (resid @ x_c.T)).sum(axis=0).real
     # a 1x1 system is a division; np.linalg.solve's call overhead dominates it
-    return b / diag if b.size == 1 else np.linalg.solve(gram, b)
+    delta = b / diag if b.size == 1 else np.linalg.solve(gram, b)
+    return delta, float(b @ delta)
 
 
 def refine_single(y: np.ndarray, phi, nu0: float, x0: np.ndarray, max_steps: int) -> EstimationResult:
@@ -220,6 +238,7 @@ def refine_multi(
     x0: np.ndarray,
     max_steps: int,
     grid_indices: np.ndarray | None = None,
+    scale_exp: int = 0,
 ) -> EstimationResult:
     """Joint refinement of all K frequencies by strict-descent
     variable-projection Gauss-Newton.
@@ -227,15 +246,24 @@ def refine_multi(
     Takes at most max_steps steps from (nu0, X0). Each hands delta_step
     the residual, the gradient responses projected off the range of
     V = Phi A(nu) and the waveforms of the accepted fit (the Kaufman
-    Jacobian -P_perp Phi g(nu_k) x_k^T), then refits all waveforms at the
-    moved frequencies: one steering evaluation and one SVD per attempted
-    step. A step is accepted only if it strictly lowers the squared
-    residual; the first that does not (a tie included) ends the
-    refinement with stop_reason "stalled", a spent budget with
-    "max_steps". A stall is a fixed point, since every later step would
-    repeat the rejected one, so a larger budget gives the same estimate,
-    and a budget split into warm-started calls gives the same estimate as
-    one call with their sum.
+    Jacobian -P_perp Phi g(nu_k) x_k^T). If the decrease of ||R||^2 that
+    the step's linear model predicts is at most sqrt(eps) ||R||^2, the
+    refinement ends with stop_reason "converged" before the step is
+    evaluated. Otherwise all waveforms are refit at the moved frequencies:
+    one steering evaluation and one SVD per evaluated step. An evaluated
+    step is accepted only if it strictly lowers the squared residual; the
+    first that does not (a tie included) ends the refinement with
+    "stalled", a spent budget with "max_steps". Both stops are fixed
+    points: a warm restart from the returned frequencies and waveforms,
+    whose residual is bitwise the same, computes the same step and stops
+    again at once. So a larger budget gives the same estimate, and a
+    budget split into warm-started calls gives the same estimate as one
+    call with their sum.
+
+    grid_indices is carried into the result. estimate passes Y and X0
+    divided by 2^scale_exp, and X_hat and the history come back scaled
+    by 2^scale_exp and 4^scale_exp (an entry beyond the float range reads
+    inf or 0).
 
     Raises
     ------
@@ -253,52 +281,67 @@ def refine_multi(
     x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
     if x.shape[0] != nu.size:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
-    a, w, x, r, eps = _fit(y, phi_mat, nu, x)
-    history = [eps]
+    a, w, x, r, cost = _fit(y, phi_mat, nu, x)
+    history = [cost]
     stop = "max_steps"
     for _ in range(max_steps):
         vg = phi_mat @ steering_gradient(a)
-        nu_new = nu + delta_step(r, vg - w @ (w.conj().T @ vg), x)
+        delta, predicted = delta_step(r, vg - w @ (w.conj().T @ vg), x)
+        if predicted <= _FTOL * cost:
+            stop = "converged"
+            break
+        nu_new = nu + delta
         fit = _fit(y, phi_mat, nu_new)
-        if not fit[4] < eps:
+        if not fit[4] < cost:
             stop = "stalled"
             break
-        nu, (a, w, x, r, eps) = nu_new, fit
-        history.append(eps)
+        nu, (a, w, x, r, cost) = nu_new, fit
+        history.append(cost)
+    history = np.array(history)
+    if scale_exp:
+        with np.errstate(over="ignore"):
+            x = np.ldexp(np.ascontiguousarray(x).view(float), scale_exp).view(complex)
+            history = np.ldexp(history, 2 * scale_exp)
     return EstimationResult(
         nu_hat=nu,
         X_hat=x,
-        histories=(np.array(history),),
+        histories=(history,),
         stop_reason=stop,
         initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices, dtype=int),
     )
 
 
 def estimate(
-    y: np.ndarray, phi, dictionary: Dictionary, k: int, max_steps: int, psi: np.ndarray | None = None
+    y: np.ndarray,
+    phi,
+    dictionary: Dictionary,
+    k: int,
+    max_steps: int,
+    psi: np.ndarray | None = None,
+    psi_norms: np.ndarray | None = None,
 ) -> EstimationResult:
     """End-to-end estimation: OMP picks k grid starts, then refine_multi
     takes at most max_steps joint steps from them.
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array. The
-    sensing matrix Psi = Phi A_ring is formed on each call unless the
-    caller passes it as ``psi``, as a sweep does to form it once.
+    sensing matrix Psi = Phi A_ring and its column norms, which OMP
+    scores by, are formed on each call unless the caller passes them as
+    ``psi`` and ``psi_norms``, as a sweep does to form both once.
 
     Both stages run on Y / 2^e, 2^e the power of two just above Y's largest
-    real or imaginary part, and X_hat and the histories are scaled back by
-    2^e and 4^e (a history entry beyond the float range reads inf or 0).
-    The scaling is exact, so the estimate does not depend on the scale of
-    Y, and it keeps OMP's scores and the squared residuals in range. A
-    non-finite or all-zero Y has e = 0 and reaches omp, which rejects it.
+    real or imaginary part, and refine_multi scales X_hat and the histories
+    back by 2^e and 4^e. The scaling is exact, so the estimate does not
+    depend on the scale of Y, and it keeps OMP's scores and the squared
+    residuals in range. A non-finite or all-zero Y has e = 0 and reaches
+    omp, which rejects it.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     if psi is None:
         psi = phi_mat @ dictionary.A_ring
+    if psi_norms is None:
+        psi_norms = np.linalg.norm(psi, axis=0)
     y = np.ascontiguousarray(y, dtype=complex).view(float)
     e = math.frexp(np.abs(y).max(initial=0.0))[1]
     y = np.ldexp(y, -e).view(complex)
-    indices, x0 = omp(y, psi, k)
-    result = refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices)
-    with np.errstate(over="ignore"):
-        return replace(result, X_hat=np.ldexp(result.X_hat.view(float), e).view(complex),
-                       histories=(np.ldexp(result.histories[0], 2 * e),))
+    indices, x0 = omp(y, psi, k, psi_norms)
+    return refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices, scale_exp=e)

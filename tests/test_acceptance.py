@@ -245,7 +245,7 @@ def test_criterion_6_exact_on_grid_recovery():
                     break
             x = _cn(rng, k, 16)
             y = psi[:, cells] @ x
-            indices, _ = omp(y, psi, k)
+            indices, _ = omp(y, psi, k, col_norms)
             assert set(indices) == set(cells), (
                 f"K={k} trial {trial}: support {sorted(indices)} != {list(cells)}"
             )

@@ -83,6 +83,18 @@ def test_steering_gradient_fd_relative_error_random():
         assert np.linalg.norm(g - fd) < 1e-7 * max(np.linalg.norm(g), 1.0)
 
 
+def test_steering_gradient_is_the_ramp_product_and_owns_its_result():
+    """The column 1j * i is built once per m and read-only, the product is
+    bitwise 1j * arange(m)[:, None] * a, and each call returns a fresh
+    writable array."""
+    for m in (1, 5, 64):
+        a = steering_matrix([0.4, 2.7], m)
+        g = steering_gradient(a)
+        assert np.array_equal(g, 1j * np.arange(m)[:, None] * a)
+        g[:] = 0
+        assert np.array_equal(steering_gradient(a), 1j * np.arange(m)[:, None] * a)
+
+
 def test_steering_matrix_stacks_columns():
     nus = np.array([0.1, 0.9, 2.2])
     a = steering_matrix(nus, 5)

@@ -229,6 +229,26 @@ def test_estimate_output_does_not_depend_on_the_scale_of_y(tmp_path, capsys):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_estimate_stop_on_noise_only_y_does_not_move_with_decimal_rounding(tmp_path, capsys):
+    """On a noise-only Y the residual is flat near the estimate, yet Y
+    written times 1e160 and 1e-300, which rounds each entry in its last
+    bit, prints the unit-scale estimate: the refinement stops where its
+    predicted decrease falls below a relative margin, not at the first
+    step that rounding happens not to lower."""
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    sets = ("N=4", "M=8", "P=16", "K=1", "L=4", "trials=3", "t_max=5")
+    args = ["estimate", "--seed", "1", *(f for kv in sets for f in ("--set", kv))]
+    outputs = []
+    for scale in (1.0, 1e160, 1e-300):
+        path = tmp_path / f"y{scale:g}.csv"
+        write_measurements_csv(y * scale, path)
+        assert cli(args + ["--y", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("k,nu_hat\n0,")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_estimate_unwritable_out_fails_naming_it(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, N=4, M=8, P=16, K=2, L=6, projection_kind="random")
     out = tmp_path / "no" / "such" / "est.csv"

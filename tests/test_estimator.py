@@ -59,7 +59,7 @@ def test_omp_single_source_matches_brute_force():
         p_true = int(rng.integers(0, 64))
         x = _cn(rng, 8)
         y = np.outer(psi[:, p_true], x)
-        indices, _ = omp(y, psi, 1)
+        indices, _ = omp(y, psi, 1, col_norms)
         brute = int(np.argmax(np.linalg.norm(psi.conj().T @ y, axis=1) / col_norms))
         assert indices[0] == brute == p_true
 
@@ -85,7 +85,7 @@ def test_omp_matches_reference_loop_on_noisy_fine_grid():
                 chosen.append(int(np.argmax(scores)))
                 ref = np.linalg.lstsq(psi[:, chosen], y, rcond=None)[0]
                 residual = y - psi[:, chosen] @ ref
-            indices, coeffs = omp(y, psi, k)
+            indices, coeffs = omp(y, psi, k, col_norms)
             assert indices.tolist() == chosen
             assert np.allclose(coeffs, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
 
@@ -105,7 +105,7 @@ def test_omp_two_sources_exact_support():
             p1, p2 = min(p1, p2), max(p1, p2)
         x = _cn(rng, 2, 8)
         y = psi[:, [p1, p2]] @ x
-        indices, _ = omp(y, psi, 2)
+        indices, _ = omp(y, psi, 2, np.linalg.norm(psi, axis=0))
         assert set(indices) == {p1, p2}, f"support {sorted(indices)} != {{{p1}, {p2}}}"
 
 
@@ -115,24 +115,27 @@ def test_omp_coefficients_exact_on_true_support():
     rng = np.random.default_rng(23)
     x = _cn(rng, 8)
     y = np.outer(psi[:, 17], x)
-    indices, coeffs = omp(y, psi, 1)
+    indices, coeffs = omp(y, psi, 1, np.linalg.norm(psi, axis=0))
     assert indices[0] == 17
     assert np.linalg.norm(coeffs[0] - x) < 1e-9 * np.linalg.norm(x)
 
 
 def test_omp_rejects_zero_measurements():
     phi, d = _designed_phi(16, 64, 64)
+    psi = phi.phi @ d.A_ring
     with pytest.raises(ValueError, match="zero"):
-        omp(np.zeros((16, 4)), phi.phi @ d.A_ring, 1)
+        omp(np.zeros((16, 4)), psi, 1, np.linalg.norm(psi, axis=0))
 
 
 def test_omp_rejects_bad_k():
     phi, d = _designed_phi(16, 64, 64)
+    psi = phi.phi @ d.A_ring
+    col_norms = np.linalg.norm(psi, axis=0)
     y = np.ones((16, 2))
     with pytest.raises(ValueError):
-        omp(y, phi.phi @ d.A_ring, 0)
+        omp(y, psi, 0, col_norms)
     with pytest.raises(ValueError):
-        omp(y, phi.phi @ d.A_ring, 17)
+        omp(y, psi, 17, col_norms)
 
 
 def test_omp_rejects_non_finite_measurements():
@@ -140,15 +143,27 @@ def test_omp_rejects_non_finite_measurements():
     y = np.ones((16, 4), dtype=complex)
     y[3, 1] = np.nan
     y[5, 0] = np.inf
+    psi = phi.phi @ d.A_ring
     with pytest.raises(ValueError, match=r"non-finite entry \(nan\+0j\) at \(row 3, column 1\)"):
-        omp(y, phi.phi @ d.A_ring, 1)
+        omp(y, psi, 1, np.linalg.norm(psi, axis=0))
 
 
 def test_omp_reports_rank_deficiency():
     psi = np.ones((4, 6), dtype=complex)  # all columns parallel
     y = np.ones((4, 2), dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
-        omp(y, psi, 2)
+        omp(y, psi, 2, np.linalg.norm(psi, axis=0))
+
+
+def test_omp_checks_the_column_norms_it_is_given():
+    """The norms must be one per column of psi, none zero."""
+    phi, d = _designed_phi(16, 64, 64)
+    psi = phi.phi @ d.A_ring
+    y = psi[:, [3]] @ np.ones((1, 4))
+    with pytest.raises(ValueError, match=r"col_norms has shape \(63,\), the sensing matrix has 64 columns"):
+        omp(y, psi, 1, np.linalg.norm(psi[:, 1:], axis=0))
+    with pytest.raises(ValueError, match="zero column"):
+        omp(y, psi, 1, np.zeros(64))
 
 
 # ---------------------------------------------------------------- ls_signal
@@ -200,7 +215,7 @@ def _step(y, phi, nu, x):
     projected steering gradient Phi g(nu)."""
     m = phi.shape[1]
     resid = y - np.outer(phi @ steering_matrix(nu, m)[:, 0], x)
-    return delta_step(resid, phi @ steering_gradient(steering_matrix(nu, m)), x[None, :])[0]
+    return delta_step(resid, phi @ steering_gradient(steering_matrix(nu, m)), x[None, :])[0][0]
 
 
 def test_delta_zero_at_exact_frequency():
@@ -284,7 +299,7 @@ def test_delta_step_matches_dense_joint_least_squares():
         if trial % 2:
             x = x * (1 + 0.3 * _cn(rng, k, l)) + 0.1 * _cn(rng, k, l)
         resid = y - v @ x
-        got = delta_step(resid, vg - v @ np.linalg.lstsq(v, vg, rcond=None)[0], x)
+        got = delta_step(resid, vg - v @ np.linalg.lstsq(v, vg, rcond=None)[0], x)[0]
         kg = np.column_stack([np.kron(x[j], vg[:, j]) for j in range(k)])
         kv = np.kron(np.eye(l), v)
         dense = np.block([[kg.real, kv.real, -kv.imag], [kg.imag, kv.imag, kv.real]])
@@ -389,8 +404,10 @@ def test_refine_single_pass_reduces_halfcell_offset():
 
 def test_refine_single_equals_public_kernel_loop():
     """refine_single is bitwise the loop of delta_step, ls_signal and
-    residual_cost with the documented acceptance rule, the gradient
-    response projected off the unit vector along Phi a(nu)."""
+    residual_cost with the documented stop and acceptance rules, the
+    gradient response projected off the unit vector along Phi a(nu): no
+    step once its predicted decrease is at most sqrt(eps) of the residual,
+    and no acceptance of a step that does not lower it."""
     rng = np.random.default_rng(44)
     steps = 5
     for trial in range(20):
@@ -404,26 +421,33 @@ def test_refine_single_equals_public_kernel_loop():
         x = ls_signal(y, phi, nu)
         result = refine_single(y, phi, nu, x, steps)
         eps = residual_cost(y, phi, nu, x)
-        ref = [eps]
+        ref, stop = [eps], "max_steps"
         for _ in range(steps):
             v = phi @ steering_matrix(nu, m)[:, 0]
             vg = phi @ steering_gradient(steering_matrix(nu, m))
             w = v[:, None] / np.sqrt(np.vdot(v, v).real)
             resid = y - np.outer(v, x)
-            nu_new = nu + delta_step(resid, vg - w @ (w.conj().T @ vg), x[None, :])[0]
+            delta, predicted = delta_step(resid, vg - w @ (w.conj().T @ vg), x[None, :])
+            if predicted <= np.sqrt(np.finfo(float).eps) * eps:
+                stop = "converged"
+                break
+            nu_new = nu + delta[0]
             x_new = ls_signal(y, phi, nu_new)
             eps_new = residual_cost(y, phi, nu_new, x_new)
             if eps_new >= eps:
+                stop = "stalled"
                 break
             nu, x, eps = nu_new, x_new, eps_new
             ref.append(eps)
-        assert result.nu_hat[0] == nu, f"trial {trial}"
+        assert result.nu_hat[0] == nu and result.stop_reason == stop, f"trial {trial}"
         assert np.array_equal(result.X_hat[0], x) and np.array_equal(result.histories[0], ref), f"trial {trial}"
 
 
 def test_refine_single_forms_each_iterate_once(monkeypatch):
     """One steering evaluation per iterate: the start, then one per
-    attempted step, since the step reuses the accepted iterate's fit."""
+    evaluated step, since the step reuses the accepted iterate's fit; a
+    step whose predicted decrease ends the refinement as converged is
+    computed but not evaluated."""
     import gomp.estimator as est
 
     calls = {"steering": 0, "steps": 0}
@@ -444,9 +468,10 @@ def test_refine_single_forms_each_iterate_once(monkeypatch):
         nu0 = nu_true + float(rng.uniform(-0.1, 0.1))
         x0 = ls_signal(y, phi, nu0)
         calls.update(steering=0, steps=0)
-        refine_single(y, phi, nu0, x0, 6)
+        result = refine_single(y, phi, nu0, x0, 6)
         assert calls["steps"] >= 1
-        assert calls["steering"] == 1 + calls["steps"], f"trial {trial}: {calls}"
+        evaluated = calls["steps"] - (result.stop_reason == "converged")
+        assert calls["steering"] == 1 + evaluated, f"trial {trial}: {calls}, {result.stop_reason}"
 
 
 def test_refine_single_step_is_variable_projection_step(monkeypatch):
@@ -484,7 +509,7 @@ def test_refine_single_step_is_variable_projection_step(monkeypatch):
         r = (y - np.outer(v, x)).reshape(-1, order="F")
         ref = np.linalg.lstsq(dense, np.concatenate([r.real, r.imag]), rcond=None)[0][0]
         assert len(steps) == 1
-        assert abs(steps[0] - ref) <= 1e-10 * abs(ref), f"trial {trial}: {steps[0]} vs {ref}"
+        assert abs(steps[0][0] - ref) <= 1e-10 * abs(ref), f"trial {trial}: {steps[0][0]} vs {ref}"
 
 
 def test_refine_single_pass_converges_from_halfcell_offset():
@@ -579,7 +604,7 @@ def test_refine_multi_reduces_total_residual():
         nu_true = d.grid[cells] + rng.uniform(-0.5, 0.5, k) * d.spacing
         x = _cn(rng, k, 16)
         y = phi.phi @ (steering_matrix(nu_true, 64) @ x)
-        indices, x0 = omp(y, psi, k)
+        indices, x0 = omp(y, psi, k, np.linalg.norm(psi, axis=0))
         resid0 = np.linalg.norm(y - psi[:, indices] @ x0) ** 2
         result = refine_multi(y, phi.phi, d.grid[indices], x0, 50)
         model = sum(
@@ -597,7 +622,7 @@ def test_refine_multi_histories_each_nonincreasing():
     x = _cn(rng, 3, 8)
     y = phi.phi @ (steering_matrix(nu_true, 64) @ x) + 0.1 * _cn(rng, 16, 8)
     psi = phi.phi @ d.A_ring
-    indices, x0 = omp(y, psi, 3)
+    indices, x0 = omp(y, psi, 3, np.linalg.norm(psi, axis=0))
     result = refine_multi(y, phi.phi, d.grid[indices], x0, 18)
     assert len(result.histories) == 1
     hist = result.histories[0]
@@ -606,11 +631,10 @@ def test_refine_multi_histories_each_nonincreasing():
 
 
 def test_refine_multi_early_exit_is_exact():
-    """A step that does not lower the residual ends the refinement, and
-    stopping there changes nothing: on converging instances with K=1 and
-    K=2, a budget of 50 steps gives nu_hat and X_hat bitwise equal to 400
-    steps, both stalled, and a budget of exactly the accepted steps gives
-    them at max_steps."""
+    """A stop before the budget changes nothing: on converging instances
+    with K=1 and K=2, a budget of 50 steps gives nu_hat and X_hat bitwise
+    equal to 400 steps, both converged, and a budget of exactly the
+    accepted steps gives them at max_steps."""
     phi = random_cm_projection(64, 64, seed=13).phi
     rng = np.random.default_rng(49)
     for k in (1, 2):
@@ -621,12 +645,64 @@ def test_refine_multi_early_exit_is_exact():
             nu0 = nu_true + rng.uniform(-0.5, 0.5, k) * 2 * np.pi / 64
             x0 = np.vstack([ls_signal(y, phi, nu) for nu in nu0])
             full = refine_multi(y, phi, nu0, x0, 400)
-            assert full.stop_reason == "stalled" and 1 <= full.n_iter < 400, f"K={k}, trial {trial}"
-            for stop, steps in {"stalled": 50, "max_steps": full.n_iter}.items():
+            assert full.stop_reason == "converged" and 1 <= full.n_iter < 400, f"K={k}, trial {trial}"
+            for stop, steps in {"converged": 50, "max_steps": full.n_iter}.items():
                 cut = refine_multi(y, phi, nu0, x0, steps)
                 assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, {steps} steps"
                 assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, {steps} steps"
-                assert cut.stop_reason == stop and cut.converged == (stop == "stalled")
+                assert cut.stop_reason == stop and cut.converged == (stop == "converged")
+
+
+def test_warm_restart_from_a_converged_result_takes_no_step():
+    """A converged stop is a fixed point: restarted from its nu_hat and
+    X_hat, whose residual is bitwise the one it stopped at, the
+    refinement computes the same step, evaluates nothing and reports
+    converged again with the same estimate."""
+    phi = random_cm_projection(16, 32, seed=18).phi
+    d = build_dictionary(128, 2 * np.pi, 32)
+    rng = np.random.default_rng(56)
+    for k in (1, 2, 3):
+        y = phi @ steering_matrix(rng.uniform(0, 2 * np.pi, k), 32) @ _cn(rng, k, 8) + 0.1 * _cn(rng, 16, 8)
+        first = estimate(y, phi, d, k, 50)
+        assert first.stop_reason == "converged" and first.n_iter >= 1, f"K={k}"
+        again = refine_multi(y, phi, first.nu_hat, first.X_hat, 50)
+        assert again.stop_reason == "converged" and again.n_iter == 0, f"K={k}"
+        assert np.array_equal(again.nu_hat, first.nu_hat) and np.array_equal(again.X_hat, first.X_hat)
+        assert np.array_equal(again.histories[0], first.histories[0][-1:])
+
+
+def test_delta_step_predicts_the_decrease_of_its_linear_model():
+    """delta_step's second output b^T delta is the decrease of ||R||^2
+    that the linearized model achieves with the step: the dense least
+    squares over (delta, dX) of test_delta_step_matches_dense_joint_least_squares
+    lowers ||R||^2 by b^T delta plus ||P_V R||^2, which the waveform
+    correction dX removes and which is zero at the least-squares fit."""
+    rng = np.random.default_rng(57)
+    for trial in range(20):
+        k = trial % 4 + 1
+        m = int(rng.integers(12, 33))
+        n = int(rng.integers(2 * k + 1, m + 1))
+        l = int(rng.integers(2, 10))
+        phi = random_cm_projection(n, m, seed=500 + trial).phi
+        nu = 2 * np.pi * (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k
+        v = phi @ steering_matrix(nu, m)
+        vg = phi @ steering_gradient(steering_matrix(nu, m))
+        y = v @ _cn(rng, k, l) + 0.2 * _cn(rng, n, l)
+        x = np.linalg.lstsq(v, y, rcond=None)[0]
+        if trial % 2:
+            x = x * (1 + 0.3 * _cn(rng, k, l)) + 0.1 * _cn(rng, k, l)
+        resid = y - v @ x
+        proj = v @ np.linalg.lstsq(v, resid, rcond=None)[0]
+        delta, predicted = delta_step(resid, vg - v @ np.linalg.lstsq(v, vg, rcond=None)[0], x)
+        kg = np.column_stack([np.kron(x[j], vg[:, j]) for j in range(k)])
+        kv = np.kron(np.eye(l), v)
+        dense = np.block([[kg.real, kv.real, -kv.imag], [kg.imag, kv.imag, kv.real]])
+        r = resid.reshape(-1, order="F")
+        rr = np.concatenate([r.real, r.imag])
+        model = rr - dense @ np.linalg.lstsq(dense, rr, rcond=None)[0]
+        decrease = rr @ rr - model @ model - np.vdot(proj, proj).real
+        assert predicted > 0
+        assert abs(predicted - decrease) <= 1e-12 * (rr @ rr), f"trial {trial}: {predicted} vs {decrease}"
 
 
 def test_step_budget_below_one_is_rejected_and_named():
@@ -660,7 +736,8 @@ def test_estimate_is_exactly_scale_invariant(j):
     assert np.array_equal(got.initial_grid_indices, ref.initial_grid_indices)
     assert np.array_equal(got.X_hat * 2.0**-j, ref.X_hat)
     if j == 0:
-        indices, x0 = omp(y, phi @ d.A_ring, 3)
+        psi = phi @ d.A_ring
+        indices, x0 = omp(y, psi, 3, np.linalg.norm(psi, axis=0))
         direct = refine_multi(y, phi, d.grid[indices], x0, 50)
         assert np.array_equal(got.nu_hat, direct.nu_hat)
         assert np.array_equal(got.X_hat, direct.X_hat)
@@ -668,18 +745,20 @@ def test_estimate_is_exactly_scale_invariant(j):
 
 
 def test_estimation_result_converged_reads_last_pass():
-    """converged reads stop_reason: true only when the refinement stalled
-    rather than ran out its budget; n_iter counts the accepted steps."""
+    """converged reads stop_reason: true when the refinement stopped by
+    itself (converged or stalled) rather than ran out its budget; n_iter
+    counts the accepted steps."""
     phi = random_cm_projection(8, 32, seed=14).phi
     rng = np.random.default_rng(50)
     y = np.outer(phi @ steering_matrix(1.2, 32)[:, 0], _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
     x0 = ls_signal(y, phi, 1.25)[None, :]
     short = refine_multi(y, phi, [1.25], x0, 10)
     long = refine_multi(y, phi, [1.25], x0, 400)
-    assert short.stop_reason == long.stop_reason == "stalled" and short.converged and long.converged
+    assert short.stop_reason == long.stop_reason == "converged" and short.converged and long.converged
     assert short.n_iter == long.n_iter == long.histories[0].size - 1
     two = np.array([2.0, 1.0])
-    assert EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason="stalled").converged
+    for stop in ("converged", "stalled"):
+        assert EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason=stop).converged
     capped = EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason="max_steps")
     assert not capped.converged and capped.n_iter == 1
     with pytest.raises(ValueError, match="stop_reason"):
@@ -730,8 +809,8 @@ def test_estimate_refinement_beats_on_grid_start_at_20db():
 def test_estimate_stalls_within_budget_at_20db():
     """K=5 at the Fig-3 operating point (N=16, M=64, P=64, partial span),
     20 dB: the joint refinement converges within the default budget, so
-    at least 38 of 40 trials stop because a step no longer lowers the
-    residual, not because j_max ran out."""
+    at least 38 of 40 trials stop by themselves (converged or stalled),
+    not because j_max ran out."""
     from gomp.array_model import UlaConfig, synthesize_measurements
     from gomp.bench import SweepConfig, build_projection, draw_scene, _seed_int
 
@@ -742,13 +821,13 @@ def test_estimate_stalls_within_budget_at_20db():
     d = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection("designed", d, cfg)
     ula = UlaConfig(M=cfg.M)
-    stalled = 0
+    stopped = 0
     for trial in range(cfg.trials):
         scene = draw_scene(cfg, _seed_int(cfg.seed, trial, 0))
         meas = synthesize_measurements(scene, phi, ula, 20.0, _seed_int(cfg.seed, 0, trial, 1))
-        stalled += estimate(meas.Y, phi, d, cfg.K, cfg.i_max * cfg.j_max).stop_reason == "stalled"
-    print(f"\n  stalled in {stalled}/{cfg.trials} trials")
-    assert stalled >= 38
+        stopped += estimate(meas.Y, phi, d, cfg.K, cfg.i_max * cfg.j_max).converged
+    print(f"\n  converged or stalled in {stopped}/{cfg.trials} trials")
+    assert stopped >= 38
 
 
 def test_estimate_projection_matrix_equals_plain_array():
