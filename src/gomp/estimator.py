@@ -300,7 +300,7 @@ def refine_multi(
     history = np.array(history)
     if scale_exp:
         with np.errstate(over="ignore"):
-            x = np.ldexp(np.ascontiguousarray(x).view(float), scale_exp).view(complex)
+            x = np.ldexp(x.view(float), scale_exp).view(complex)
             history = np.ldexp(history, 2 * scale_exp)
     return EstimationResult(
         nu_hat=nu,
@@ -312,13 +312,8 @@ def refine_multi(
 
 
 def estimate(
-    y: np.ndarray,
-    phi,
-    dictionary: Dictionary,
-    k: int,
-    max_steps: int,
-    psi: np.ndarray | None = None,
-    psi_norms: np.ndarray | None = None,
+    y: np.ndarray, phi, dictionary: Dictionary, k: int, max_steps: int,
+    psi: np.ndarray | None = None, psi_norms: np.ndarray | None = None,
 ) -> EstimationResult:
     """End-to-end estimation: OMP picks k grid starts, then refine_multi
     takes at most max_steps joint steps from them.
