@@ -12,6 +12,7 @@ digits.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -88,10 +89,11 @@ class SweepConfig:
                 raise ValueError(f"constraint {key} >= 1 violated ({key}={getattr(self, key)})")
         if self.seed < 0:
             raise ValueError(f"constraint seed >= 0 violated (seed={self.seed})")
-        if not 0 < self.nu_max < math.inf:
-            raise ValueError(f"constraint 0 < nu_max < inf violated (nu_max={self.nu_max})")
-        if self.scene_nu_max is not None and not 0 < self.scene_nu_max < math.inf:
-            raise ValueError(f"constraint 0 < scene_nu_max < inf violated (scene_nu_max={self.scene_nu_max})")
+        # a grid or scene wider than the circle aliases: a(nu) = a(nu - 2 pi)
+        for key in ("nu_max", "scene_nu_max"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value <= 2.0 * math.pi:
+                raise ValueError(f"constraint 0 < {key} <= 2*pi violated ({key}={value})")
         if self.min_separation is not None and not 0 <= self.min_separation < math.inf:
             raise ValueError(f"constraint 0 <= min_separation < inf violated (min_separation={self.min_separation})")
         if self.projection_kind not in PROJECTION_KINDS:
@@ -298,7 +300,7 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection(cfg.projection_kind, dictionary, cfg)
     psi = phi.phi @ dictionary.A_ring
-    psi_norms = np.linalg.norm(psi, axis=0)
+    sensing = psi, np.linalg.norm(psi, axis=0)
     ula = UlaConfig(M=cfg.M)
     rows = []
     for snr_index, snr_db in enumerate(cfg.snr_grid_db):
@@ -317,8 +319,7 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
             )
             start = time.perf_counter()
             try:
-                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max, psi=psi,
-                                  psi_norms=psi_norms)
+                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max, sensing)
             except (ValueError, np.linalg.LinAlgError):
                 failed += 1
                 continue
@@ -397,17 +398,15 @@ def read_measurements_csv(path) -> np.ndarray:
     for i, (no, line) in enumerate(lines[1:]):
         entries = line.split(",")
         if len(entries) != l:
-            raise ValueError(f"{path}: row {i} has {len(entries)} entries, expected {l}")
+            raise ValueError(f"{path}: line {no} has {len(entries)} entries, expected {l}")
         for j, tok in enumerate(entries):
             tok = tok.strip()
             try:
-                y[i, j] = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+                y[i, j] = value = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
             except ValueError:
                 raise ValueError(f"{path}: line {no}, column {j + 1}: cannot parse {tok!r} as a complex number") from None
-    bad = np.argwhere(~np.isfinite(y))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path}: line {lines[i + 1][0]}, column {j + 1}: non-finite entry {y[i, j]}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"{path}: line {no}, column {j + 1}: non-finite entry {value}")
     return y
 
 

@@ -41,10 +41,11 @@ class EstimationResult:
     """Estimated frequencies and waveforms plus refinement diagnostics.
 
     histories holds one array, the strictly decreasing accepted squared
-    residuals of the refinement from its start point; stop_reason is
-    "converged" (the next step's predicted decrease was at most sqrt(eps)
-    of the residual), "stalled" (an evaluated step did not lower the
-    residual) or "max_steps" (the step budget ran out).
+    residuals of the refinement from its start point. stop_reason is the
+    one record of how the refinement ended: "converged" (the next step's
+    predicted decrease was at most sqrt(eps) of the residual), "stalled"
+    (an evaluated step did not lower the residual) or "max_steps" (the
+    step budget ran out); only "converged" says it converged.
     """
 
     nu_hat: np.ndarray
@@ -69,11 +70,6 @@ class EstimationResult:
     def n_iter(self) -> int:
         """Number of accepted refinement steps."""
         return len(self.histories[0]) - 1
-
-    @property
-    def converged(self) -> bool:
-        """True if the refinement stopped by itself rather than at its budget."""
-        return self.stop_reason != "max_steps"
 
 
 def _solve_pinv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +221,6 @@ def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     return delta, float(b @ delta)
 
 
-def refine_single(y: np.ndarray, phi, nu0: float, x0: np.ndarray, max_steps: int) -> EstimationResult:
-    """Single-source refinement: refine_multi with K=1, from the frequency
-    nu0 and the waveform x0 (an L-vector)."""
-    return refine_multi(y, phi, [nu0], x0, max_steps)
-
-
 def refine_multi(
     y: np.ndarray,
     phi,
@@ -243,10 +233,12 @@ def refine_multi(
     """Joint refinement of all K frequencies by strict-descent
     variable-projection Gauss-Newton.
 
-    Takes at most max_steps steps from (nu0, X0). Each hands delta_step
-    the residual, the gradient responses projected off the range of
-    V = Phi A(nu) and the waveforms of the accepted fit (the Kaufman
-    Jacobian -P_perp Phi g(nu_k) x_k^T). If the decrease of ||R||^2 that
+    Takes at most max_steps steps from (nu0, X0), a K-vector and a K-by-L
+    array, or one frequency and an L-vector (refine_single is this
+    function under its older name). Each hands delta_step the residual,
+    the gradient responses projected off the range of V = Phi A(nu) and
+    the waveforms of the accepted fit (the Kaufman Jacobian
+    -P_perp Phi g(nu_k) x_k^T). If the decrease of ||R||^2 that
     the step's linear model predicts is at most sqrt(eps) ||R||^2, the
     refinement ends with stop_reason "converged" before the step is
     evaluated. Otherwise all waveforms are refit at the moved frequencies:
@@ -263,7 +255,7 @@ def refine_multi(
     grid_indices is carried into the result. estimate passes Y and X0
     divided by 2^scale_exp, and X_hat and the history come back scaled
     by 2^scale_exp and 4^scale_exp (an entry beyond the float range reads
-    inf or 0).
+    inf or 0); the default 0 returns them as fitted, bit for bit.
 
     Raises
     ------
@@ -297,11 +289,9 @@ def refine_multi(
             break
         nu, (a, w, x, r, cost) = nu_new, fit
         history.append(cost)
-    history = np.array(history)
-    if scale_exp:
-        with np.errstate(over="ignore"):
-            x = np.ldexp(x.view(float), scale_exp).view(complex)
-            history = np.ldexp(history, 2 * scale_exp)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x.view(float), scale_exp).view(complex)
+        history = np.ldexp(history, 2 * scale_exp)
     return EstimationResult(
         nu_hat=nu,
         X_hat=x,
@@ -311,32 +301,34 @@ def refine_multi(
     )
 
 
+refine_single = refine_multi
+
+
 def estimate(
     y: np.ndarray, phi, dictionary: Dictionary, k: int, max_steps: int,
-    psi: np.ndarray | None = None, psi_norms: np.ndarray | None = None,
+    sensing: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
     """End-to-end estimation: OMP picks k grid starts, then refine_multi
     takes at most max_steps joint steps from them.
 
-    ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array. The
-    sensing matrix Psi = Phi A_ring and its column norms, which OMP
-    scores by, are formed on each call unless the caller passes them as
-    ``psi`` and ``psi_norms``, as a sweep does to form both once.
+    ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array.
+    ``sensing`` is the pair (Psi, its column norms), Psi = Phi A_ring the
+    sensing matrix and the norms OMP scores by. The pair is formed on each
+    call unless the caller passes it, as a sweep does to form it once.
 
     Both stages run on Y / 2^e, 2^e the power of two just above Y's largest
-    real or imaginary part, and refine_multi scales X_hat and the histories
+    real or imaginary part, and refine_multi scales X_hat and the history
     back by 2^e and 4^e. The scaling is exact, so the estimate does not
     depend on the scale of Y, and it keeps OMP's scores and the squared
     residuals in range. A non-finite or all-zero Y has e = 0 and reaches
     omp, which rejects it.
     """
     phi_mat = np.asarray(phi, dtype=complex)
-    if psi is None:
+    if sensing is None:
         psi = phi_mat @ dictionary.A_ring
-    if psi_norms is None:
-        psi_norms = np.linalg.norm(psi, axis=0)
+        sensing = psi, np.linalg.norm(psi, axis=0)
     y = np.ascontiguousarray(y, dtype=complex).view(float)
     e = math.frexp(np.abs(y).max(initial=0.0))[1]
     y = np.ldexp(y, -e).view(complex)
-    indices, x0 = omp(y, psi, k, psi_norms)
+    indices, x0 = omp(y, sensing[0], k, sensing[1])
     return refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices, scale_exp=e)

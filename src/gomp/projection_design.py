@@ -68,8 +68,8 @@ class DesignConfig:
     def __post_init__(self) -> None:
         if self.t_max < 0:
             raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.init not in ("svd", "random"):
             raise ValueError(f"init must be 'svd' or 'random', got {self.init!r}")
 
@@ -96,7 +96,7 @@ class DesignTrace:
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.coherence_per_iter, dtype=float)
-        if mu.size and (mu.min() < 0 or mu.max() > 1):
+        if not ((0 <= mu) & (mu <= 1)).all():
             raise ValueError("coherence values must lie in [0, 1]")
 
     @property

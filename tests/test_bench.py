@@ -180,6 +180,7 @@ def _flatten(cfg: SweepConfig) -> dict:
 
 _FINITE = st.floats(-60.0, 60.0, allow_nan=False)
 _POSITIVE = st.floats(1e-3, 10.0)
+_SPAN = st.floats(1e-3, 2 * math.pi)
 _KINDS = st.sampled_from(("designed", "dft", "random", "gd_prior_a", "gd_prior_b"))
 
 
@@ -200,8 +201,8 @@ def _sweep_configs(draw):
         trials=draw(st.integers(1, 500)),
         seed=draw(st.integers(0, 2**31)),
         projection_kind=draw(_KINDS),
-        nu_max=draw(_POSITIVE),
-        scene_nu_max=draw(st.none() | _POSITIVE),
+        nu_max=draw(_SPAN),
+        scene_nu_max=draw(st.none() | _SPAN),
         min_separation=draw(st.none() | _POSITIVE),
         alpha_candidates=draw(tuples(st.floats(1.0, 10.0) | st.just(math.inf))),
         p_grid=draw(st.none() | tuples(st.integers(m, 512))),
@@ -299,6 +300,21 @@ def test_measurements_csv_trailing_i_and_non_finite(tmp_path):
             read_measurements_csv(path)
     path.write_text("1,2\n1,2x\n")
     with pytest.raises(ValueError, match="line 2, column 2: cannot parse '2x'"):
+        read_measurements_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2,2\n\n1,2\n\n3\n", "line 5 has 1 entries, expected 2"),
+    ("2,2\n1,2,3\n\n4,5\n", "line 2 has 3 entries, expected 2"),
+    ("2,2\n1,inf\n1,2x\n", "line 2, column 2: non-finite entry"),
+    ("2,2\n1,nan\n3\n", "line 2, column 2: non-finite entry"),
+])
+def test_measurements_csv_names_the_file_line_of_the_first_fault(tmp_path, text, message):
+    """A short or long row is named by its line in the file, blank lines
+    counted, and the first fault in file order is the one reported."""
+    path = tmp_path / "y.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"y.csv: {message}"):
         read_measurements_csv(path)
 
 

@@ -110,6 +110,9 @@ def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("nu_max", "Infinity"),
+    ("nu_max", "12.566370614359172"),
+    ("nu_max", "6.283185307179587"),
+    ("scene_nu_max", "12.566370614359172"),
     ("scene_nu_max", "NaN"),
     ("scene_nu_max", "-1"),
     ("min_separation", "-1"),
@@ -125,6 +128,7 @@ def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
     ("p_grid", "[4]"),
     ("i_max", "0"),
     ("j_max", "0"),
+    ("step_size", "1e400"),
 ])
 def test_bad_config_value_fails_at_load_and_names_key(tmp_path, capsys, key, value):
     """Values that would fail or mislead only once an experiment runs are

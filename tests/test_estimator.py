@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import gomp.estimator
 from gomp.array_model import build_dictionary, steering_gradient, steering_matrix
 from gomp.estimator import (
     EstimationResult,
@@ -333,6 +334,12 @@ def test_residual_cost_values():
 
 # ------------------------------------------------------------ refine_single
 
+def test_refine_single_is_refine_multi():
+    """refine_single is refine_multi under its older name, not a wrapper:
+    a scalar nu0 with an L-vector x0 is the one-source call."""
+    assert gomp.estimator.refine_single is gomp.estimator.refine_multi is refine_single
+
+
 def test_refine_exact_start_terminates_immediately():
     """Delta is exactly zero at the true frequency with the true waveform."""
     rng = np.random.default_rng(31)
@@ -650,7 +657,7 @@ def test_refine_multi_early_exit_is_exact():
                 cut = refine_multi(y, phi, nu0, x0, steps)
                 assert np.array_equal(cut.nu_hat, full.nu_hat), f"K={k}, trial {trial}, {steps} steps"
                 assert np.array_equal(cut.X_hat, full.X_hat), f"K={k}, trial {trial}, {steps} steps"
-                assert cut.stop_reason == stop and cut.converged == (stop == "converged")
+                assert cut.stop_reason == stop
 
 
 def test_warm_restart_from_a_converged_result_takes_no_step():
@@ -745,22 +752,21 @@ def test_estimate_is_exactly_scale_invariant(j):
 
 
 def test_estimation_result_converged_reads_last_pass():
-    """converged reads stop_reason: true when the refinement stopped by
-    itself (converged or stalled) rather than ran out its budget; n_iter
-    counts the accepted steps."""
+    """stop_reason is the one record of how the refinement ended, and only
+    "converged" says it converged: the result has no second flag that
+    could call a stalled stop converged. n_iter counts the accepted steps."""
     phi = random_cm_projection(8, 32, seed=14).phi
     rng = np.random.default_rng(50)
     y = np.outer(phi @ steering_matrix(1.2, 32)[:, 0], _cn(rng, 8)) + 0.05 * _cn(rng, 8, 8)
     x0 = ls_signal(y, phi, 1.25)[None, :]
     short = refine_multi(y, phi, [1.25], x0, 10)
     long = refine_multi(y, phi, [1.25], x0, 400)
-    assert short.stop_reason == long.stop_reason == "converged" and short.converged and long.converged
+    assert short.stop_reason == long.stop_reason == "converged"
     assert short.n_iter == long.n_iter == long.histories[0].size - 1
     two = np.array([2.0, 1.0])
-    for stop in ("converged", "stalled"):
-        assert EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason=stop).converged
-    capped = EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason="max_steps")
-    assert not capped.converged and capped.n_iter == 1
+    for stop in ("converged", "stalled", "max_steps"):
+        result = EstimationResult(nu_hat=[0.1, 0.2], X_hat=np.ones((2, 3)), histories=(two,), stop_reason=stop)
+        assert result.stop_reason == stop and result.n_iter == 1 and not hasattr(result, "converged")
     with pytest.raises(ValueError, match="stop_reason"):
         EstimationResult(nu_hat=[0.1], X_hat=np.ones((1, 3)), histories=(two,), stop_reason="done")
 
@@ -825,7 +831,7 @@ def test_estimate_stalls_within_budget_at_20db():
     for trial in range(cfg.trials):
         scene = draw_scene(cfg, _seed_int(cfg.seed, trial, 0))
         meas = synthesize_measurements(scene, phi, ula, 20.0, _seed_int(cfg.seed, 0, trial, 1))
-        stopped += estimate(meas.Y, phi, d, cfg.K, cfg.i_max * cfg.j_max).converged
+        stopped += estimate(meas.Y, phi, d, cfg.K, cfg.i_max * cfg.j_max).stop_reason != "max_steps"
     print(f"\n  converged or stalled in {stopped}/{cfg.trials} trials")
     assert stopped >= 38
 
@@ -833,18 +839,22 @@ def test_estimate_stalls_within_budget_at_20db():
 def test_estimate_projection_matrix_equals_plain_array():
     """A ProjectionMatrix gives bitwise the result of the same projection
     passed as a plain array, on repeated calls too and with the sensing
-    matrix formed by the caller."""
+    matrix and its column norms formed by the caller as one pair."""
     phi, d = _designed_phi(16, 64, 64)
     rng = np.random.default_rng(53)
     y = phi.phi @ (steering_matrix([0.7, 2.9, 4.4], 64) @ _cn(rng, 3, 8)) + 0.1 * _cn(rng, 16, 8)
     plain = estimate(y, phi.phi, d, 3, 50)
-    for given in ({}, {}, {"psi": phi.phi @ d.A_ring}):
-        cached = estimate(y, phi, d, 3, 50, **given)
+    psi = phi.phi @ d.A_ring
+    for sensing in (None, None, (psi, np.linalg.norm(psi, axis=0))):
+        cached = estimate(y, phi, d, 3, 50, sensing)
         assert np.array_equal(cached.initial_grid_indices, plain.initial_grid_indices)
         assert np.array_equal(cached.nu_hat, plain.nu_hat)
         assert np.array_equal(cached.X_hat, plain.X_hat)
         assert np.array_equal(cached.histories[0], plain.histories[0])
         assert cached.stop_reason == plain.stop_reason
+    # norms without their Psi cannot be passed: estimate would score its own Psi by them
+    with pytest.raises(TypeError):
+        estimate(y, phi, d, 3, 50, psi_norms=np.linalg.norm(psi, axis=0))
 
 
 def test_estimate_pure_noise_does_not_crash():

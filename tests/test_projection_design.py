@@ -17,6 +17,7 @@ from gomp import projection_design
 from gomp.array_model import Dictionary, build_dictionary
 from gomp.projection_design import (
     DesignConfig,
+    DesignTrace,
     ProjectionMatrix,
     _descent,
     cm_project,
@@ -366,6 +367,17 @@ def test_random_cm_projection_deterministic():
 def test_projection_matrix_rejects_non_cm():
     with pytest.raises(ValueError):
         ProjectionMatrix(phi=np.array([[1.0, 0.5]]))
+
+
+@pytest.mark.parametrize("mu", [[0.5, np.nan], [np.nan]])
+def test_design_trace_rejects_nan_coherence(mu):
+    """A NaN coherence is not in [0, 1]: a run whose eta and mu went NaN
+    cannot be recorded as a trace."""
+    phi = dft_projection(2, 4)
+    steps = np.ones(len(mu) - 1)
+    with pytest.raises(ValueError, match=r"coherence values must lie in \[0, 1\]"):
+        DesignTrace(np.array(mu), np.zeros(len(mu)), phi, steps, steps.astype(int), 0)
+    DesignTrace(np.full(len(mu), 0.5), np.zeros(len(mu)), phi, steps, steps.astype(int), 0)
 
 
 # ------------------------------------------------------------------- design
