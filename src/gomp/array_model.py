@@ -77,6 +77,10 @@ class SourceScene:
             raise ValueError(f"X has {X.shape[0]} rows but nu has {nu.size} entries")
         if X.shape[1] < 1:
             raise ValueError("X must have at least one time sample")
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            k, l = bad[0]
+            raise ValueError(f"X contains non-finite entry {X[k, l]} at (source {k}, sample {l})")
         if np.any(np.all(X == 0, axis=1)):
             raise ValueError("every source waveform must be nonzero")
         nu.setflags(write=False)

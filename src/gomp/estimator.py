@@ -137,8 +137,8 @@ def omp(y: np.ndarray, psi, k: int, col_norms: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("measurement matrix is zero; OMP has nothing to select")
     if np.shape(col_norms) != (p,):
         raise ValueError(f"col_norms has shape {np.shape(col_norms)}, the sensing matrix has {p} columns")
-    if (col_norms == 0).any():
-        raise ValueError("sensing matrix has a zero column")
+    if not (0 < col_norms.min() and col_norms.max() < np.inf):  # NaN fails too
+        raise ValueError("sensing matrix has a non-finite or zero column")
     residual = y
     chosen: list[int] = []
     while True:

@@ -42,7 +42,7 @@ class ProjectionMatrix:
 
     def __post_init__(self) -> None:
         phi = np.atleast_2d(np.asarray(self.phi, dtype=complex))
-        if np.max(np.abs(np.abs(phi) - 1.0)) > _CM_TOL:
+        if not np.max(np.abs(np.abs(phi) - 1.0)) <= _CM_TOL:  # NaN fails too
             raise ValueError("every projection entry must have unit modulus")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -82,9 +82,9 @@ class DesignTrace:
     point; entry t describes the iterate after update t. step_per_iter[t-1]
     is the step update t accepted and evals_per_iter[t-1] the eta
     evaluations its line search made: 0 for a stationary update, whose
-    shrunk Gram error is all zeros and whose step is therefore known to be
-    accepted untried. final_phi is the iterate with the lowest recorded
-    coherence, not necessarily the last.
+    shrunk Gram error is all zeros, so that it leaves Phi where it is and
+    records the carried-over step untried. final_phi is the earliest iterate
+    with the lowest recorded coherence, not necessarily the last.
     """
 
     coherence_per_iter: np.ndarray
@@ -306,19 +306,17 @@ def design(
     reproduces the plain constant-modulus extension of the
     unit-norm-embedded descent), steps along the resulting descent
     direction with a backtracking line search on eta evaluated before
-    re-projection, and projects back onto the constant-modulus manifold. Coherence and eta are recorded at the
-    start and after every iteration; the returned matrix is the best
-    iterate by coherence.
+    re-projection, and projects back onto the constant-modulus manifold.
+    Coherence and eta are recorded at the start and after every iteration;
+    the returned matrix is the best iterate by coherence.
 
     An iteration is stationary when alpha is finite and max |E| <=
     alpha * welch_bound: the shrunk error is then all zeros, so is the
-    descent direction, and the first line-search try is the iterate itself,
-    accepted at the carried-over step. Such an iteration skips the shrink,
-    the descent direction and the line search, and only re-projects. The
-    re-projection is not idempotent in floating point and can cycle between
-    a few bit patterns, so a stationary iterate that equals one of the two
-    before it, bit for bit, reuses that iterate's Gram state. Every output
-    is as if the full iteration had run.
+    descent direction, and Phi is a fixed point of the update. Such an
+    iteration leaves Phi and its Gram state as they are; it only records
+    the carried-over step, with 0 evaluations, and doubles it. A stationary
+    iterate therefore stays stationary, and the rest of the trace repeats
+    it bit for bit; a start that is already stationary is returned as is.
 
     With embed_unit_norm=False the column normalization is treated as a
     constant within each step (only the first gradient term is used and
@@ -338,21 +336,15 @@ def design(
         q, d, s, e = _gram_state(phi, a)
         return q, d, s, e, float(np.max(np.abs(e))), _frame_eta(q, d)
 
-    state = state_at(phi)
-    recent = [(phi, state)]  # the last two iterates and their states
+    q, d, s, e, e_max, eta = state_at(phi)
     mus, etas, steps, evals = [], [], [], []
     best_phi, best_iter = phi, 0
     base = cfg.step_size
     for t in range(cfg.t_max + 1):
         if t:
             step, halvings = base, 0
-            if shrink and e_max <= alpha * beta:  # stationary: the try at Phi itself is accepted
-                phi = cm_project(phi)
+            if shrink and e_max <= alpha * beta:  # stationary: Phi and its state stay
                 evals.append(0)
-                key = phi.tobytes()
-                state = next((old_state for old, old_state in recent if old.tobytes() == key), None)
-                if state is None:
-                    state = state_at(phi)
             else:
                 e_used = shrink_error(e, alpha, beta) if shrink else e
                 grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
@@ -363,11 +355,9 @@ def design(
                     z = phi - step * grad
                 phi = cm_project(z)
                 evals.append(min(halvings + 1, 20))
-                state = state_at(phi)
+                q, d, s, e, e_max, eta = state_at(phi)
             base = min(step * 2.0, 1e9) if halvings == 0 else step
             steps.append(step)
-            recent = [recent[-1], (phi, state)]
-        q, d, s, e, e_max, eta = state
         mus.append(min(e_max, 1.0))
         etas.append(eta)
         if mus[t] < mus[best_iter]:

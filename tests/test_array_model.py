@@ -158,6 +158,13 @@ def test_source_scene_validation():
         SourceScene(nu=[0.5], X=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         SourceScene(nu=[np.inf], X=np.ones((1, 3)))
+    # a non-finite waveform entry is named here, not left for the synthesis
+    # to blame on the SNR or to pass on as a non-finite Y
+    for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
+        x = np.ones((2, 3), dtype=complex)
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match=r"X contains non-finite entry .* at \(source 1, sample 2\)"):
+            SourceScene(nu=[0.5, 1.0], X=x)
 
 
 # -------------------------------------------------------- noise calibration

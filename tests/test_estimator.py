@@ -157,7 +157,7 @@ def test_omp_reports_rank_deficiency():
 
 
 def test_omp_checks_the_column_norms_it_is_given():
-    """The norms must be one per column of psi, none zero."""
+    """The norms must be one per column of psi, each positive and finite."""
     phi, d = _designed_phi(16, 64, 64)
     psi = phi.phi @ d.A_ring
     y = psi[:, [3]] @ np.ones((1, 4))
@@ -165,6 +165,22 @@ def test_omp_checks_the_column_norms_it_is_given():
         omp(y, psi, 1, np.linalg.norm(psi[:, 1:], axis=0))
     with pytest.raises(ValueError, match="zero column"):
         omp(y, psi, 1, np.zeros(64))
+    for bad in (np.nan, np.inf):
+        norms = np.linalg.norm(psi, axis=0)
+        norms[7] = bad
+        with pytest.raises(ValueError, match="sensing matrix has a non-finite or zero column"):
+            omp(y, psi, 1, norms)
+
+
+def test_estimate_rejects_a_projection_with_a_nan_entry():
+    """A plain-array Phi with one NaN entry gives Psi NaN column norms,
+    which OMP rejects before any fit, naming the sensing matrix."""
+    phi, d = _designed_phi(16, 64, 64)
+    phi_mat = np.array(phi.phi)
+    y = phi_mat @ d.A_ring[:, [3]] @ np.ones((1, 4))
+    phi_mat[2, 5] = np.nan
+    with pytest.raises(ValueError, match="sensing matrix has a non-finite or zero column"):
+        estimate(y, phi_mat, d, 1, 10)
 
 
 # ---------------------------------------------------------------- ls_signal
