@@ -321,10 +321,17 @@ def estimate(
     back by 2^e and 4^e. The scaling is exact, so the estimate does not
     depend on the scale of Y, and it keeps OMP's scores and the squared
     residuals in range. A non-finite or all-zero Y has e = 0 and reaches
-    omp, which rejects it.
+    omp, which rejects it. A Phi with a non-finite entry is rejected before
+    Psi is formed from it.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     if sensing is None:
+        bad = np.argwhere(~np.isfinite(phi_mat))
+        if bad.size:
+            raise ValueError(
+                f"Phi has non-finite entry {phi_mat[tuple(bad[0])]} at {tuple(bad[0].tolist())}, "
+                "so the sensing matrix has a non-finite or zero column"
+            )
         psi = phi_mat @ dictionary.A_ring
         sensing = psi, np.linalg.norm(psi, axis=0)
     y = np.ascontiguousarray(y, dtype=complex).view(float)

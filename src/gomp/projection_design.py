@@ -29,6 +29,12 @@ _CM_TOL = 1e-9
 # shrinkage relaxations alpha that design_with_alpha_sweep tries by default
 DEFAULT_ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
 
+# design() stops once mu has set no new best for _STALL_WINDOW iterations and
+# eta fell by at most _STALL_RTOL of itself over them (MINPACK's relative
+# reduction test, read over a window)
+_STALL_WINDOW = 50
+_STALL_RTOL = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
@@ -55,7 +61,8 @@ class ProjectionMatrix:
 class DesignConfig:
     """Gradient-descent designer settings.
 
-    t_max is the iteration budget; step_size is the initial step, which the
+    t_max caps the iterations (design may stop earlier, once coherence and
+    eta have both stalled); step_size is the initial step, which the
     designer halves (up to 20 times per iteration) whenever the trial step
     increases eta before re-projection, and doubles after an iteration that
     needed no halving. init picks the start (see initial_projection).
@@ -83,8 +90,12 @@ class DesignTrace:
     is the step update t accepted and evals_per_iter[t-1] the eta
     evaluations its line search made: 0 for a stationary update, whose
     shrunk Gram error is all zeros, so that it leaves Phi where it is and
-    records the carried-over step untried. final_phi is the earliest iterate
-    with the lowest recorded coherence, not necessarily the last.
+    records the carried-over step untried. Every update after stop_iter,
+    the iterate at which design's stop rule fired (t_max when the run used
+    its whole budget), is handled the same way, so the trace always has
+    t_max + 1 entries and repeats iterate stop_iter after it. final_phi is
+    the earliest iterate with the lowest recorded coherence, not
+    necessarily the last.
     """
 
     coherence_per_iter: np.ndarray
@@ -93,6 +104,7 @@ class DesignTrace:
     step_per_iter: np.ndarray
     evals_per_iter: np.ndarray
     best_iter: int
+    stop_iter: int
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.coherence_per_iter, dtype=float)
@@ -318,6 +330,13 @@ def design(
     iterate therefore stays stationary, and the rest of the trace repeats
     it bit for bit; a start that is already stationary is returned as is.
 
+    The run stops after iterate t once mu has set no new best for the last
+    50 iterations (t - best_iter >= 50) and eta fell by at most 1e-3 of
+    itself over them (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max only caps
+    it. Every later update is handled as a stationary one, so the trace
+    keeps t_max + 1 entries and repeats the stop iterate, which stop_iter
+    records.
+
     With embed_unit_norm=False the column normalization is treated as a
     constant within each step (only the first gradient term is used and
     columns are renormalized implicitly on the next iteration), which
@@ -338,12 +357,12 @@ def design(
 
     q, d, s, e, e_max, eta = state_at(phi)
     mus, etas, steps, evals = [], [], [], []
-    best_phi, best_iter = phi, 0
+    best_phi, best_iter, stop_iter = phi, 0, cfg.t_max
     base = cfg.step_size
     for t in range(cfg.t_max + 1):
         if t:
             step, halvings = base, 0
-            if shrink and e_max <= alpha * beta:  # stationary: Phi and its state stay
+            if t > stop_iter or (shrink and e_max <= alpha * beta):  # Phi and its state stay
                 evals.append(0)
             else:
                 e_used = shrink_error(e, alpha, beta) if shrink else e
@@ -362,6 +381,10 @@ def design(
         etas.append(eta)
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
+        if t < stop_iter and t - best_iter >= _STALL_WINDOW and (
+            etas[t - _STALL_WINDOW] - etas[t] <= _STALL_RTOL * etas[t]
+        ):
+            stop_iter = t
     return DesignTrace(
         coherence_per_iter=np.array(mus),
         objective_per_iter=np.array(etas),
@@ -369,6 +392,7 @@ def design(
         step_per_iter=np.array(steps),
         evals_per_iter=np.array(evals, dtype=int),
         best_iter=best_iter,
+        stop_iter=stop_iter,
     )
 
 

@@ -183,6 +183,17 @@ def test_estimate_rejects_a_projection_with_a_nan_entry():
         estimate(y, phi_mat, d, 1, 10)
 
 
+def test_estimate_rejects_a_projection_with_an_infinite_entry():
+    """A plain-array Phi with an infinite entry is rejected by name before
+    Psi = Phi A_ring is formed, whose product would warn on inf * 0."""
+    phi, d = _designed_phi(16, 64, 64)
+    phi_mat = np.array(phi.phi)
+    y = phi_mat @ d.A_ring[:, [3]] @ np.ones((1, 4))
+    phi_mat[2, 5] = np.inf
+    with pytest.raises(ValueError, match=r"Phi has non-finite entry \(inf\+0j\) at \(2, 5\)"):
+        estimate(y, phi_mat, d, 1, 10)
+
+
 # ---------------------------------------------------------------- ls_signal
 
 def test_ls_signal_exact_on_model_match():

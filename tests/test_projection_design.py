@@ -379,8 +379,8 @@ def test_design_trace_rejects_nan_coherence(mu):
     phi = dft_projection(2, 4)
     steps = np.ones(len(mu) - 1)
     with pytest.raises(ValueError, match=r"coherence values must lie in \[0, 1\]"):
-        DesignTrace(np.array(mu), np.zeros(len(mu)), phi, steps, steps.astype(int), 0)
-    DesignTrace(np.full(len(mu), 0.5), np.zeros(len(mu)), phi, steps, steps.astype(int), 0)
+        DesignTrace(np.array(mu), np.zeros(len(mu)), phi, steps, steps.astype(int), 0, len(mu) - 1)
+    DesignTrace(np.full(len(mu), 0.5), np.zeros(len(mu)), phi, steps, steps.astype(int), 0, len(mu) - 1)
 
 
 # ------------------------------------------------------------------- design
@@ -396,14 +396,18 @@ def test_design_zero_iterations_returns_start():
     )
 
 
-def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True):
+def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True):
     """The design loop spelled out with the public kernels and no shortcut:
     at every iterate a fresh Gram error, its shrunk version, the direction
     gradient_eta (only its first term 4 Q D E D A^H, from _descent, without
     embed_unit_norm), halving the step (at most 20 times) while
     objective_eta of the trial point rises, projection, and doubling the
     next start step after an iteration that needed no halving. A zero
-    shrunk error leaves Phi where it is."""
+    shrunk error leaves Phi where it is, and so does every update after
+    the stop: the first iterate t at which mu set no new best over the
+    last 50 iterations and eta fell by at most 1e-3 of itself over them.
+    stop_rule=False runs all t_max updates, as the designer did before it
+    had the stop."""
     beta = welch_bound(phi0.phi.shape[0], d.P)
     ah = d.A_ring.conj().T
     phi = np.array(phi0.phi)
@@ -414,20 +418,21 @@ def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True):
 
     q, dn, e = gram(phi)
     mus, etas, steps = [min(np.max(np.abs(e)), 1.0)], [objective_eta(phi, d)], []
-    best_phi, best_iter = phi, 0
+    best_phi, best_iter, stop = phi, 0, None
     base = cfg.step_size
     for t in range(1, cfg.t_max + 1):
-        e_used = shrink_error(e, alpha, beta) if np.isfinite(alpha) else e
-        if embed_unit_norm:
-            grad = gradient_eta(phi, d, e_used)
-        else:
-            grad = _descent(ah, q, dn, None, e_used, embed_unit_norm=False)
         step, halvings = base, 0
-        while halvings < 20 and objective_eta(phi - step * grad, d) > etas[-1]:
-            step *= 0.5
-            halvings += 1
-        if e_used.any():
-            phi = cm_project(phi - step * grad)
+        if stop is None:
+            e_used = shrink_error(e, alpha, beta) if np.isfinite(alpha) else e
+            if embed_unit_norm:
+                grad = gradient_eta(phi, d, e_used)
+            else:
+                grad = _descent(ah, q, dn, None, e_used, embed_unit_norm=False)
+            while halvings < 20 and objective_eta(phi - step * grad, d) > etas[-1]:
+                step *= 0.5
+                halvings += 1
+            if e_used.any():
+                phi = cm_project(phi - step * grad)
         base = min(step * 2.0, 1e9) if halvings == 0 else step
         steps.append(step)
         q, dn, e = gram(phi)
@@ -435,16 +440,20 @@ def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True):
         etas.append(objective_eta(phi, d))
         if mus[-1] < mus[best_iter]:
             best_phi, best_iter = phi, t
-    return np.array(mus), np.array(etas), np.array(steps), best_phi, best_iter
+        if stop_rule and stop is None and t - best_iter >= 50 and etas[t - 50] - etas[t] <= 1e-3 * etas[t]:
+            stop = t
+    stop = cfg.t_max if stop is None else stop
+    return np.array(mus), np.array(etas), np.array(steps), best_phi, best_iter, stop
 
 
 def _assert_trace_equals_reference(trace, reference):
-    mus, etas, steps, best_phi, best_iter = reference
+    mus, etas, steps, best_phi, best_iter, stop = reference
     assert np.array_equal(trace.coherence_per_iter, mus)
     assert np.array_equal(trace.objective_per_iter, etas)
     assert np.array_equal(trace.step_per_iter, steps)
     assert np.array_equal(trace.final_phi.phi, best_phi)
     assert trace.best_iter == best_iter
+    assert trace.stop_iter == stop
 
 
 @pytest.mark.parametrize("alpha", [1.5, np.inf])
@@ -460,9 +469,15 @@ def test_design_equals_public_kernel_loop(alpha):
     _assert_trace_equals_reference(trace, reference)
 
 
-# the Fig.-3 partial-span grid and the full circle, both at P = M = 64, N = 16
+# (P = M, nu_max, N, t_max): the Fig.-3 partial-span grid and the full
+# circle at P = 64, N = 16 for a few iterations, and the full circle at
+# P = 16, N = 4 for long enough that the stop rule fires
 FIG3_NU_MAX = 2 * np.pi * 15 / 64
-DESIGN_GRIDS = {"fig3": FIG3_NU_MAX, "circle": 2 * np.pi}
+DESIGN_GRIDS = {
+    "fig3": (64, FIG3_NU_MAX, 16, 8),
+    "circle": (64, 2 * np.pi, 16, 8),
+    "circle16": (16, 2 * np.pi, 4, 150),
+}
 
 
 @pytest.mark.parametrize("grid", DESIGN_GRIDS)
@@ -471,18 +486,59 @@ DESIGN_GRIDS = {"fig3": FIG3_NU_MAX, "circle": 2 * np.pi}
 @pytest.mark.parametrize("init", ["svd", "random"])
 def test_design_equals_reference_loop(grid, alpha, embed_unit_norm, init):
     """Stationary iterations (alpha * welch_bound above max |E|: alpha = 5 on
-    both grids and alpha = 3 on the circle), which skip the shrink, the
+    every grid and alpha = 3 on both circles), which skip the shrink, the
     descent direction, the line search and the projection, leave every
     output bitwise equal to the loop that computes each of them and keeps
-    Phi where the shrunk error is zero."""
-    d = build_dictionary(64, DESIGN_GRIDS[grid], 64)
-    cfg = DesignConfig(t_max=8, init=init)
-    phi0 = initial_projection(d, 16, cfg)
+    Phi where the shrunk error is zero. So do the updates after the stop:
+    on circle16 the rule fires at iterate 50 for the stationary runs and
+    between 56 and 90 for alpha = inf and for alpha = 1 without the
+    unit-norm embedding; alpha = 1 with it runs all 150 updates."""
+    p, nu_max, n, t_max = DESIGN_GRIDS[grid]
+    d = build_dictionary(p, nu_max, p)
+    cfg = DesignConfig(t_max=t_max, init=init)
+    phi0 = initial_projection(d, n, cfg)
     trace = design(d, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm)
     _assert_trace_equals_reference(trace, _reference_design(d, cfg, phi0, alpha, embed_unit_norm))
     assert trace.evals_per_iter.shape == (cfg.t_max,)
     if alpha == 5.0:
         assert not trace.evals_per_iter.any()
+
+
+def test_design_stop_freezes_the_rest_of_the_trace():
+    """After stop_iter every update makes no evaluation and mu and eta repeat
+    that iterate bit for bit; the best iterate lies at least 50 iterations
+    before the stop. On the full circle at P = 16, M = 16, N = 4 from the
+    SVD start, alpha = inf stops at 58 with its best at 7 of 150, while
+    alpha = 1, still setting new bests at its last update, reports
+    stop_iter = t_max."""
+    d = build_dictionary(16, 2 * np.pi, 16)
+    cfg = DesignConfig(t_max=150)
+    phi0 = initial_projection(d, 4, cfg)
+    trace = design(d, cfg, phi0, alpha=np.inf)
+    stop = trace.stop_iter
+    assert (stop, trace.best_iter) == (58, 7)
+    assert trace.evals_per_iter[:stop].all() and not trace.evals_per_iter[stop:].any()
+    assert np.all(trace.coherence_per_iter[stop:] == trace.coherence_per_iter[stop])
+    assert np.all(trace.objective_per_iter[stop:] == trace.objective_per_iter[stop])
+    assert trace.best_iter <= stop - 50
+    improving = design(d, cfg, phi0, alpha=1.0)
+    assert improving.best_iter == cfg.t_max and improving.stop_iter == cfg.t_max
+
+
+def test_alpha_sweep_with_the_stop_keeps_the_fig3_phi():
+    """A stopped candidate's best mu is its full run's or higher, so the
+    sweep keeps its winner whenever the winner reaches its own best iterate
+    before any stop. On the Fig.-3 grid from the SVD start the winner,
+    alpha = 3, sets its best at the last of 200 updates, so the designed Phi
+    is bitwise the winner of the reference loop without the stop."""
+    d = build_dictionary(64, FIG3_NU_MAX, 64)
+    cfg = DesignConfig(t_max=200)
+    phi0 = initial_projection(d, 16, cfg)
+    runs = [_reference_design(d, cfg, phi0, alpha, stop_rule=False) for alpha in projection_design.DEFAULT_ALPHAS]
+    winner = min(runs, key=lambda r: r[0][r[4]])  # min keeps the earliest of a tie
+    swept = design_with_alpha_sweep(d, cfg, phi0)
+    assert np.array_equal(swept.final_phi.phi, winner[3])
+    assert swept.stop_iter == swept.best_iter == cfg.t_max
 
 
 def _count_column_norms(monkeypatch):

@@ -8,11 +8,19 @@ the medians, the pairs the change won and whether the change stayed within
 the bound BENCHMARK.json fixes; next to them every run's scaled metrics, its
 ``raw_metrics`` and host-speed scales, the commit each checkout ran and the
 environment. ``--traced W`` adds one traced seed-1 run (``--trace 1``) per
-checkout for workload W. One invocation writes the whole record:
+checkout for workload W.
+
+``--anchor`` adds a third checkout, a fixed commit that every record runs,
+to the same session: each pair runs it too (parent, change, anchor on even
+pair indices and the reverse on odd ones), and ``summary_vs_anchor`` holds
+the change/anchor ratios next to ``summary``'s change/parent ones. Host
+speed differs between sessions, so two records compare only through their
+change/anchor ratios. They are a report; the bounds gate change/parent only.
+One invocation writes the whole record:
 
     python3 tools/bench_record.py --parent ../gomp-parent --change ../gomp-change \\
-        --plan sweep-fig3:1-10 --plan design-fig1:1,2,3 --traced sweep-fig3 \\
-        --out BENCH_<parent-short-sha>.json
+        --anchor ../gomp-anchor --plan sweep-fig3:1-10 --plan design-fig1:1,2,3 \\
+        --traced sweep-fig3 --out BENCH_<parent-short-sha>.json
 
 The output is rewritten after every run, so an interrupted record keeps the
 runs it finished. Each checkout must be a git work tree (``git clone`` of the
@@ -28,8 +36,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-SIDES = ("parent", "change")
 
 
 def seeds_of(text: str) -> list[int]:
@@ -74,28 +80,31 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, spec: dict) -> dict:
-    """Per end-to-end metric: scaled and raw quartiles of both sides, the
-    noise band, the median ratio change/parent, pairs won and the bound."""
+def summarize(runs: dict, spec: dict, base: str = "parent") -> dict:
+    """Per end-to-end metric: scaled and raw quartiles of the base side and
+    the change, the base's noise band, the median ratio change/base and the
+    pairs won; against the parent also the bound and whether it held."""
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
-        row = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
+        row = {"unit": metric["unit"], "better": metric["better"]}
+        if base == "parent":
+            row["bound"] = metric["bound"]
         for key in ("metrics", "raw_metrics"):
-            vals = {s: [r[key][name] for r in runs[s] if r[key] and name in r[key]] for s in SIDES}
+            vals = {s: [r[key][name] for r in runs[s] if r[key] and name in r[key]] for s in (base, "change")}
             if not all(vals.values()):
                 continue
-            stats = {s: quartiles(vals[s]) for s in SIDES}
-            p, c = stats["parent"]["median"], stats["change"]["median"]
-            better = [(cv < pv) if lower else (cv > pv) for pv, cv in zip(vals["parent"], vals["change"])]
-            worse_by = (c / p - 1.0) if lower else (1.0 - c / p)
-            row["scaled" if key == "metrics" else "raw"] = {
+            stats = {s: quartiles(v) for s, v in vals.items()}
+            b, c = stats[base]["median"], stats["change"]["median"]
+            better = [(cv < bv) if lower else (cv > bv) for bv, cv in zip(vals[base], vals["change"])]
+            row["scaled" if key == "metrics" else "raw"] = summary = {
                 **stats,
-                "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
-                "ratio_change_over_parent": c / p,
+                f"{base}_iqr": stats[base]["q3"] - stats[base]["q1"],
+                f"ratio_change_over_{base}": c / b,
                 "pairs_won": f"{sum(better)}/{len(better)}",
-                "within_bound": worse_by <= metric["bound"],
             }
+            if base == "parent":
+                summary["within_bound"] = ((c / b - 1.0) if lower else (1.0 - c / b)) <= metric["bound"]
         out[name] = row
     return out
 
@@ -104,16 +113,20 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--anchor", type=Path, help="checkout of the fixed anchor commit (optional)")
     parser.add_argument("--plan", action="append", default=[], help="WORKLOAD:SEEDS, e.g. sweep-fig3:1-10")
     parser.add_argument("--traced", action="append", default=[], help="workload for one traced seed-1 run")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.anchor:
+        checkouts["anchor"] = args.anchor.resolve()
+    sides = tuple(checkouts)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
-        "order": "pairs alternate which side runs first: parent first on even pair indices",
+        "order": f"pairs alternate the run order: {', '.join(sides)} on even pair indices, reversed on odd ones",
         "checkouts": {s: {"path": p.name, "commit": None, "dirty": None} for s, p in checkouts.items()},
         "environment": None,
         "workloads": {},
@@ -125,17 +138,19 @@ def main(argv=None) -> None:
 
     for plan in args.plan:
         workload, _, seeds = plan.partition(":")
-        entry = doc["workloads"][workload] = {"runs": {s: [] for s in SIDES}, "summary": {}}
+        entry = doc["workloads"][workload] = {"runs": {s: [] for s in sides}, "summary": {}}
         for i, seed in enumerate(seeds_of(seeds)):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for side in sides if i % 2 == 0 else sides[::-1]:
                 result = run(checkouts[side], workload, seed, args.seconds, 0)
                 doc["environment"] = doc["environment"] or result["environment"]
                 doc["checkouts"][side].update(result["git"])
                 entry["runs"][side].append({k: v for k, v in result.items() if k not in ("environment", "git")})
                 entry["summary"] = summarize(entry["runs"], spec)
+                if args.anchor:
+                    entry["summary_vs_anchor"] = summarize(entry["runs"], spec, "anchor")
                 save()
     for workload in args.traced:
-        for side in SIDES:
+        for side in sides:
             result = run(checkouts[side], workload, 1, args.seconds, 1)
             doc["checkouts"][side].update(result["git"])
             doc["traced"].setdefault(workload, {})[side] = result["metrics"]
