@@ -28,6 +28,15 @@ def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
     return np.exp(1j * (np.arange(m)[:, None] * nu))
 
 
+def check_finite(x: np.ndarray, name: str, axes: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming the first non-finite entry of x and its index,
+    labelled by axes if given; the entry is located only once one is found."""
+    if not np.isfinite(x).all():
+        index = tuple(np.argwhere(~np.isfinite(x))[0].tolist())
+        where = ", ".join(f"{axis} {i}".lstrip() for axis, i in zip(axes or ("",) * x.ndim, index))
+        raise ValueError(f"{name} has non-finite entry {x[index]} at ({where})")
+
+
 @lru_cache(maxsize=None)
 def _ramp(m: int) -> np.ndarray:
     """The read-only m-by-1 column 1j * [0, 1, ..., m-1]."""
@@ -77,10 +86,7 @@ class SourceScene:
             raise ValueError(f"X has {X.shape[0]} rows but nu has {nu.size} entries")
         if X.shape[1] < 1:
             raise ValueError("X must have at least one time sample")
-        bad = np.argwhere(~np.isfinite(X))
-        if bad.size:
-            k, l = bad[0]
-            raise ValueError(f"X contains non-finite entry {X[k, l]} at (source {k}, sample {l})")
+        check_finite(X, "X", ("source", "sample"))
         if np.any(np.all(X == 0, axis=1)):
             raise ValueError("every source waveform must be nonzero")
         nu.setflags(write=False)
@@ -196,11 +202,12 @@ def synthesize_measurements(
     sources) raises ValueError naming it, since no estimate can be fitted
     to such a Y.
 
-    ``phi`` may be a ProjectionMatrix or a plain N-by-M complex array.
+    ``phi`` may be a ProjectionMatrix or a plain N-by-M array of finite entries.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     if phi_mat.ndim != 2:
         raise ValueError("projection matrix must be two-dimensional")
+    check_finite(phi_mat, "Phi")
     n, m = phi_mat.shape
     if m != ula.M:
         raise ValueError(f"projection has {m} columns but the array has {ula.M} sensors")

@@ -52,8 +52,8 @@ class SweepConfig:
     scene_nu_max bounds the drawn source frequencies (defaults to nu_max);
     min_separation is the smallest allowed pairwise source gap (defaults
     to two grid cells, 2 * nu_max / P). The refinement takes at most
-    i_max * j_max joint steps: the paper's i_max steps per sweep and j_max
-    sweeps, of which the joint refinement reads only the product.
+    max_steps = i_max * j_max joint steps: the paper's i_max steps per
+    sweep and j_max sweeps, of which the refinement reads only the product.
     """
 
     N: int = 16
@@ -118,6 +118,10 @@ class SweepConfig:
         for p in self.p_grid or ():
             if p < self.M:
                 raise ValueError(f"p_grid entry {p} is below the sensor count M={self.M}")
+
+    @property
+    def max_steps(self) -> int:
+        return self.i_max * self.j_max
 
 
 @dataclass(frozen=True)
@@ -319,7 +323,7 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
             )
             start = time.perf_counter()
             try:
-                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max, sensing)
+                result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.max_steps, sensing)
             except (ValueError, np.linalg.LinAlgError):
                 failed += 1
                 continue

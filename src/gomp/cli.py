@@ -81,7 +81,7 @@ def _run_estimate(cfg: bench.SweepConfig, y_path: str, out_path: str | None) -> 
         raise ValueError(f"measurement file has N={y.shape[0]} rows but config N={cfg.N}")
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = bench.build_projection(cfg.projection_kind, dictionary, cfg)
-    result = estimate(y, phi, dictionary, cfg.K, cfg.i_max * cfg.j_max)
+    result = estimate(y, phi, dictionary, cfg.K, cfg.max_steps)
     bench.emit_csv(bench.Table(("k", "nu_hat"), tuple(enumerate(result.nu_hat))), out_path)
 
 

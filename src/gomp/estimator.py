@@ -24,11 +24,11 @@ Garbow & Hillstrom 1980), checked before that step is paid for;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_model import Dictionary, steering_gradient, steering_matrix
+from .array_model import Dictionary, check_finite, steering_gradient, steering_matrix
 
 _PINV_RTOL = 1e-12
 # a step whose predicted decrease of ||R||^2 is at most this share of it
@@ -125,10 +125,7 @@ def omp(y: np.ndarray, psi, k: int, col_norms: np.ndarray) -> tuple[np.ndarray, 
     n, p = mat.shape
     if y.shape[0] != n:
         raise ValueError(f"measurements have {y.shape[0]} rows but sensing matrix has {n}")
-    bad = np.argwhere(~np.isfinite(y))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"measurements contain non-finite entry {y[row, col]} at (row {row}, column {col})")
+    check_finite(y, "Y", ("row", "column"))
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
     if k > p:
@@ -227,8 +224,6 @@ def refine_multi(
     nu0_vec: np.ndarray,
     x0: np.ndarray,
     max_steps: int,
-    grid_indices: np.ndarray | None = None,
-    scale_exp: int = 0,
 ) -> EstimationResult:
     """Joint refinement of all K frequencies by strict-descent
     variable-projection Gauss-Newton.
@@ -250,17 +245,14 @@ def refine_multi(
     whose residual is bitwise the same, computes the same step and stops
     again at once. So a larger budget gives the same estimate, and a
     budget split into warm-started calls gives the same estimate as one
-    call with their sum.
-
-    grid_indices is carried into the result. estimate passes Y and X0
-    divided by 2^scale_exp, and X_hat and the history come back scaled
-    by 2^scale_exp and 4^scale_exp (an entry beyond the float range reads
-    inf or 0); the default 0 returns them as fitted, bit for bit.
+    call with their sum. The result has no grid indices; estimate attaches
+    OMP's.
 
     Raises
     ------
     ValueError
-        If max_steps is below 1.
+        If max_steps is below 1, or Y or X0 has a non-finite entry (named
+        with its index).
     numpy.linalg.LinAlgError
         If the joint system Phi A(nu) is rank-deficient, for example when
         two refined frequencies coincide; omp raises the same for its refit.
@@ -273,6 +265,8 @@ def refine_multi(
     x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
     if x.shape[0] != nu.size:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
+    check_finite(y, "Y", ("row", "column"))
+    check_finite(x, "X0", ("source", "sample"))
     a, w, x, r, cost = _fit(y, phi_mat, nu, x)
     history = [cost]
     stop = "max_steps"
@@ -289,16 +283,7 @@ def refine_multi(
             break
         nu, (a, w, x, r, cost) = nu_new, fit
         history.append(cost)
-    with np.errstate(over="ignore"):
-        x = np.ldexp(x.view(float), scale_exp).view(complex)
-        history = np.ldexp(history, 2 * scale_exp)
-    return EstimationResult(
-        nu_hat=nu,
-        X_hat=x,
-        histories=(history,),
-        stop_reason=stop,
-        initial_grid_indices=None if grid_indices is None else np.asarray(grid_indices, dtype=int),
-    )
+    return EstimationResult(nu_hat=nu, X_hat=x, histories=(np.array(history),), stop_reason=stop)
 
 
 refine_single = refine_multi
@@ -317,25 +302,24 @@ def estimate(
     call unless the caller passes it, as a sweep does to form it once.
 
     Both stages run on Y / 2^e, 2^e the power of two just above Y's largest
-    real or imaginary part, and refine_multi scales X_hat and the history
-    back by 2^e and 4^e. The scaling is exact, so the estimate does not
-    depend on the scale of Y, and it keeps OMP's scores and the squared
-    residuals in range. A non-finite or all-zero Y has e = 0 and reaches
-    omp, which rejects it. A Phi with a non-finite entry is rejected before
-    Psi is formed from it.
+    real or imaginary part, and X_hat and the history come back times 2^e
+    and 4^e (inf or 0 beyond the float range), with OMP's grid indices. The
+    scaling is exact, so the estimate does not depend on the scale of Y,
+    and it keeps OMP's scores and the squared residuals in range. A
+    non-finite or all-zero Y has e = 0 and reaches omp, which rejects it. A
+    Phi with a non-finite entry is rejected before Psi is formed from it.
     """
     phi_mat = np.asarray(phi, dtype=complex)
     if sensing is None:
-        bad = np.argwhere(~np.isfinite(phi_mat))
-        if bad.size:
-            raise ValueError(
-                f"Phi has non-finite entry {phi_mat[tuple(bad[0])]} at {tuple(bad[0].tolist())}, "
-                "so the sensing matrix has a non-finite or zero column"
-            )
+        check_finite(phi_mat, "Phi")
         psi = phi_mat @ dictionary.A_ring
         sensing = psi, np.linalg.norm(psi, axis=0)
     y = np.ascontiguousarray(y, dtype=complex).view(float)
     e = math.frexp(np.abs(y).max(initial=0.0))[1]
     y = np.ldexp(y, -e).view(complex)
     indices, x0 = omp(y, sensing[0], k, sensing[1])
-    return refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps, grid_indices=indices, scale_exp=e)
+    fit = refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(fit.X_hat.view(float), e).view(complex)
+        history = np.ldexp(fit.histories[0], 2 * e)
+    return replace(fit, X_hat=x, histories=(history,), initial_grid_indices=indices)

@@ -22,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import Dictionary
+from .array_model import Dictionary, check_finite
 
 _CM_TOL = 1e-9
 
 # shrinkage relaxations alpha that design_with_alpha_sweep tries by default
 DEFAULT_ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
 
-# design() stops once mu has set no new best for _STALL_WINDOW iterations and
-# eta fell by at most _STALL_RTOL of itself over them (MINPACK's relative
-# reduction test, read over a window)
+# design() stops at a stationary iterate, or once mu has set no new best for
+# _STALL_WINDOW iterations and eta fell by at most _STALL_RTOL of itself over
+# them (MINPACK's relative reduction test, read over a window)
 _STALL_WINDOW = 50
 _STALL_RTOL = 1e-3
 
@@ -88,14 +88,13 @@ class DesignTrace:
     coherence_per_iter[0] and objective_per_iter[0] describe the starting
     point; entry t describes the iterate after update t. step_per_iter[t-1]
     is the step update t accepted and evals_per_iter[t-1] the eta
-    evaluations its line search made: 0 for a stationary update, whose
-    shrunk Gram error is all zeros, so that it leaves Phi where it is and
-    records the carried-over step untried. Every update after stop_iter,
-    the iterate at which design's stop rule fired (t_max when the run used
-    its whole budget), is handled the same way, so the trace always has
-    t_max + 1 entries and repeats iterate stop_iter after it. final_phi is
-    the earliest iterate with the lowest recorded coherence, not
-    necessarily the last.
+    evaluations its line search made. stop_iter is the iterate at which
+    design's stop rule fired (t_max when the run used its whole budget):
+    every later update leaves Phi where it is and records the carried-over
+    step untried, with 0 evaluations. So the trace always has t_max + 1
+    entries and repeats iterate stop_iter after it, and stop_iter is the
+    number of updates that moved Phi. final_phi is the earliest iterate
+    with the lowest recorded coherence, not necessarily the last.
     """
 
     coherence_per_iter: np.ndarray
@@ -124,6 +123,7 @@ def mutual_coherence(psi) -> float:
     mat = np.asarray(psi, dtype=complex)
     if mat.ndim != 2 or mat.shape[1] < 2:
         raise ValueError("mutual coherence needs a matrix with at least two columns")
+    check_finite(mat, "Psi")
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for a zero column")
@@ -216,8 +216,9 @@ def shrink_error(e: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     Entries with modulus at or below the threshold become zero; the rest
     shrink toward zero by the threshold while keeping their phase, and NaN
     entries stay NaN. Hermitian inputs stay Hermitian. A zero threshold
-    returns e * 1.0 and an infinite one e * 0.0. design() skips this call
-    when max |E| <= alpha * beta, since every entry would then be zero.
+    returns e * 1.0 and an infinite one e * 0.0. design() stops at an
+    iterate with max |E| <= alpha * beta instead of calling this, since
+    every entry would then be zero.
     """
     if not alpha >= 1:
         raise ValueError(f"alpha >= 1 required, got {alpha}")
@@ -320,22 +321,21 @@ def design(
     direction with a backtracking line search on eta evaluated before
     re-projection, and projects back onto the constant-modulus manifold.
     Coherence and eta are recorded at the start and after every iteration;
-    the returned matrix is the best iterate by coherence.
+    the returned matrix is the best iterate by coherence. phi0 must be a
+    constant-modulus matrix (a plain array is checked as ProjectionMatrix
+    checks it) with one column per sensor of the dictionary.
 
-    An iteration is stationary when alpha is finite and max |E| <=
-    alpha * welch_bound: the shrunk error is then all zeros, so is the
-    descent direction, and Phi is a fixed point of the update. Such an
-    iteration leaves Phi and its Gram state as they are; it only records
-    the carried-over step, with 0 evaluations, and doubles it. A stationary
-    iterate therefore stays stationary, and the rest of the trace repeats
-    it bit for bit; a start that is already stationary is returned as is.
-
-    The run stops after iterate t once mu has set no new best for the last
-    50 iterations (t - best_iter >= 50) and eta fell by at most 1e-3 of
-    itself over them (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max only caps
-    it. Every later update is handled as a stationary one, so the trace
+    The run stops at the first iterate t that is stationary (alpha finite
+    and max |E| <= alpha * welch_bound, so that the shrunk error, and with
+    it the descent direction, is all zeros and Phi is a fixed point of the
+    update), or at which mu has set no new best for the last 50 iterations
+    (t - best_iter >= 50) and eta fell by at most 1e-3 of itself over them
+    (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max only caps it. Every later
+    update leaves Phi and its Gram state as they are; it only records the
+    carried-over step, with 0 evaluations, and doubles it. So the trace
     keeps t_max + 1 entries and repeats the stop iterate, which stop_iter
-    records.
+    records, bit for bit; a start that is already stationary is returned
+    as is, with stop_iter 0.
 
     With embed_unit_norm=False the column normalization is treated as a
     constant within each step (only the first gradient term is used and
@@ -347,7 +347,9 @@ def design(
         raise ValueError(f"alpha >= 1 required, got {alpha}")
     a = dictionary.A_ring
     ah = a.conj().T
-    phi = np.array(phi0, dtype=complex)
+    phi = np.array(ProjectionMatrix(phi=phi0), dtype=complex)
+    if phi.shape[1] != dictionary.M:
+        raise ValueError(f"phi0 has {phi.shape[1]} columns but the dictionary has M={dictionary.M} sensors")
     beta = welch_bound(phi.shape[0], dictionary.P)
     shrink = math.isfinite(alpha)
 
@@ -362,7 +364,7 @@ def design(
     for t in range(cfg.t_max + 1):
         if t:
             step, halvings = base, 0
-            if t > stop_iter or (shrink and e_max <= alpha * beta):  # Phi and its state stay
+            if t > stop_iter:  # Phi and its state stay
                 evals.append(0)
             else:
                 e_used = shrink_error(e, alpha, beta) if shrink else e
@@ -381,9 +383,9 @@ def design(
         etas.append(eta)
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
-        if t < stop_iter and t - best_iter >= _STALL_WINDOW and (
-            etas[t - _STALL_WINDOW] - etas[t] <= _STALL_RTOL * etas[t]
-        ):
+        stationary = shrink and e_max <= alpha * beta
+        stalled = t - best_iter >= _STALL_WINDOW and etas[t - _STALL_WINDOW] - etas[t] <= _STALL_RTOL * etas[t]
+        if t < stop_iter and (stationary or stalled):
             stop_iter = t
     return DesignTrace(
         coherence_per_iter=np.array(mus),

@@ -163,7 +163,7 @@ def test_source_scene_validation():
     for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
         x = np.ones((2, 3), dtype=complex)
         x[1, 2] = bad
-        with pytest.raises(ValueError, match=r"X contains non-finite entry .* at \(source 1, sample 2\)"):
+        with pytest.raises(ValueError, match=r"X has non-finite entry .* at \(source 1, sample 2\)"):
             SourceScene(nu=[0.5, 1.0], X=x)
 
 
@@ -224,6 +224,18 @@ def test_synthesis_dimension_mismatch():
     phi = random_cm_projection(4, 8, seed=1)
     with pytest.raises(ValueError):
         synthesize_measurements(scene, phi, UlaConfig(M=16), 10.0, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("snr_db", [10.0, np.inf])
+def test_synthesis_names_a_non_finite_projection_entry(bad, snr_db):
+    """A plain-array Phi with a non-finite entry is named with its index,
+    not blamed on the noise power, passed on as a non-finite Y or left to
+    the matmul."""
+    phi = np.array(random_cm_projection(4, 16, seed=11).phi)
+    phi[2, 7] = bad
+    with pytest.raises(ValueError, match=r"Phi has non-finite entry .* at \(2, 7\)"):
+        synthesize_measurements(_small_scene(), phi, UlaConfig(M=16), snr_db, seed=5)
 
 
 def test_synthesis_snr_monte_carlo():

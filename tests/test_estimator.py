@@ -173,13 +173,13 @@ def test_omp_checks_the_column_norms_it_is_given():
 
 
 def test_estimate_rejects_a_projection_with_a_nan_entry():
-    """A plain-array Phi with one NaN entry gives Psi NaN column norms,
-    which OMP rejects before any fit, naming the sensing matrix."""
+    """A plain-array Phi with one NaN entry, which would give Psi a NaN
+    column norm, is rejected by name before Psi is formed."""
     phi, d = _designed_phi(16, 64, 64)
     phi_mat = np.array(phi.phi)
     y = phi_mat @ d.A_ring[:, [3]] @ np.ones((1, 4))
     phi_mat[2, 5] = np.nan
-    with pytest.raises(ValueError, match="sensing matrix has a non-finite or zero column"):
+    with pytest.raises(ValueError, match=r"Phi has non-finite entry \(nan\+0j\) at \(2, 5\)"):
         estimate(y, phi_mat, d, 1, 10)
 
 
@@ -192,6 +192,26 @@ def test_estimate_rejects_a_projection_with_an_infinite_entry():
     phi_mat[2, 5] = np.inf
     with pytest.raises(ValueError, match=r"Phi has non-finite entry \(inf\+0j\) at \(2, 5\)"):
         estimate(y, phi_mat, d, 1, 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_refinement_names_a_non_finite_measurement_or_start(bad):
+    """A non-finite entry of Y or X0 is named with its index, not blamed on
+    the frequencies or passed to the matmul; refine_single is the same
+    function."""
+    phi = random_cm_projection(8, 32, seed=17).phi
+    y = phi @ (steering_matrix([0.4, 2.0], 32) @ _cn(np.random.default_rng(56), 2, 4))
+    x0 = np.ones((2, 4), dtype=complex)
+    y_bad, x0_bad = y.copy(), x0.copy()
+    y_bad[5, 2], x0_bad[1, 3] = bad, bad
+    with pytest.raises(ValueError, match=r"Y has non-finite entry .* at \(row 5, column 2\)"):
+        refine_multi(y_bad, phi, [0.4, 2.0], x0, 10)
+    with pytest.raises(ValueError, match=r"X0 has non-finite entry .* at \(source 1, sample 3\)"):
+        refine_multi(y, phi, [0.4, 2.0], x0_bad, 10)
+    with pytest.raises(ValueError, match=r"Y has non-finite entry .* at \(row 5, column 2\)"):
+        refine_single(y_bad, phi, 0.4, x0[0], 10)
+    with pytest.raises(ValueError, match=r"X0 has non-finite entry .* at \(source 0, sample 3\)"):
+        refine_single(y, phi, 2.0, x0_bad[1], 10)
 
 
 # ---------------------------------------------------------------- ls_signal
@@ -757,8 +777,9 @@ def test_estimate_is_exactly_scale_invariant(j):
     """estimate works on Y over a power of two, so Y * 2^j gives bitwise
     the same frequencies and grid indices and X_hat * 2^j, also where
     OMP's scores and the squared residuals of Y itself leave the float
-    range. At unit scale it is bitwise omp plus refine_multi on Y as given,
-    histories included."""
+    range, and the history times 4^j wherever that stays in the normal
+    float range (all j but -1000). At unit scale it is bitwise omp plus
+    refine_multi on Y as given, histories included."""
     phi = random_cm_projection(8, 32, seed=61).phi
     d = build_dictionary(64, 2 * np.pi, 32)
     rng = np.random.default_rng(61)
@@ -769,6 +790,12 @@ def test_estimate_is_exactly_scale_invariant(j):
     assert np.array_equal(got.nu_hat, ref.nu_hat)
     assert np.array_equal(got.initial_grid_indices, ref.initial_grid_indices)
     assert np.array_equal(got.X_hat * 2.0**-j, ref.X_hat)
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = ref.histories[0] * 4.0**j
+    if np.isfinite(scaled).all() and scaled.min() >= np.finfo(float).tiny:  # no rounding at a range edge
+        assert np.array_equal(got.histories[0] * 4.0**-j, ref.histories[0])
+    else:
+        assert j == -1000
     if j == 0:
         psi = phi @ d.A_ring
         indices, x0 = omp(y, psi, 3, np.linalg.norm(psi, axis=0))

@@ -84,6 +84,14 @@ def test_mutual_coherence_rejects_zero_column():
         mutual_coherence(psi)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mutual_coherence_names_a_non_finite_entry(bad):
+    psi = np.ones((3, 4), dtype=complex)
+    psi[1, 2] = bad
+    with pytest.raises(ValueError, match=r"Psi has non-finite entry .* at \(1, 2\)"):
+        mutual_coherence(psi)
+
+
 # -------------------------------------------------------------- welch bound
 
 def test_welch_bound_fig1_dimensions():
@@ -396,18 +404,36 @@ def test_design_zero_iterations_returns_start():
     )
 
 
+def test_design_checks_the_start_before_any_iteration():
+    """phi0 is checked as a ProjectionMatrix and against the dictionary's
+    sensor count before the first Gram state: a start off the unit circle
+    is rejected even where an iterate would beat it, and neither a NaN
+    start nor a wrong column count reaches numpy."""
+    d = build_dictionary(64, 2 * np.pi, 64)
+    cfg = DesignConfig(t_max=20)
+    phi0 = initial_projection(d, 16, cfg).phi
+    moduli = np.random.default_rng(4).uniform(0.5, 1.5, phi0.shape)
+    nan_start = phi0.copy()
+    nan_start[3, 9] = np.nan
+    for start in (2.0 * phi0, moduli * phi0, nan_start):
+        with pytest.raises(ValueError, match="unit modulus"):
+            design(d, cfg, start, alpha=1.0)
+    with pytest.raises(ValueError, match="phi0 has 32 columns but the dictionary has M=64 sensors"):
+        design(d, cfg, phi0[:, :32], alpha=1.0)
+
+
 def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True):
     """The design loop spelled out with the public kernels and no shortcut:
     at every iterate a fresh Gram error, its shrunk version, the direction
     gradient_eta (only its first term 4 Q D E D A^H, from _descent, without
     embed_unit_norm), halving the step (at most 20 times) while
     objective_eta of the trial point rises, projection, and doubling the
-    next start step after an iteration that needed no halving. A zero
-    shrunk error leaves Phi where it is, and so does every update after
-    the stop: the first iterate t at which mu set no new best over the
-    last 50 iterations and eta fell by at most 1e-3 of itself over them.
-    stop_rule=False runs all t_max updates, as the designer did before it
-    had the stop."""
+    next start step after an iteration that needed no halving. Every update
+    after the stop leaves Phi where it is: the first iterate t whose shrunk
+    error is zero, or at which mu set no new best over the last 50
+    iterations and eta fell by at most 1e-3 of itself over them.
+    stop_rule=False leaves out the second rule, as the designer did before
+    it had it."""
     beta = welch_bound(phi0.phi.shape[0], d.P)
     ah = d.A_ring.conj().T
     phi = np.array(phi0.phi)
@@ -420,27 +446,28 @@ def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True)
     mus, etas, steps = [min(np.max(np.abs(e)), 1.0)], [objective_eta(phi, d)], []
     best_phi, best_iter, stop = phi, 0, None
     base = cfg.step_size
-    for t in range(1, cfg.t_max + 1):
-        step, halvings = base, 0
-        if stop is None:
-            e_used = shrink_error(e, alpha, beta) if np.isfinite(alpha) else e
-            if embed_unit_norm:
-                grad = gradient_eta(phi, d, e_used)
-            else:
-                grad = _descent(ah, q, dn, None, e_used, embed_unit_norm=False)
-            while halvings < 20 and objective_eta(phi - step * grad, d) > etas[-1]:
-                step *= 0.5
-                halvings += 1
-            if e_used.any():
+    for t in range(cfg.t_max + 1):
+        if t:
+            step, halvings = base, 0
+            if stop is None:
+                if embed_unit_norm:
+                    grad = gradient_eta(phi, d, e_used)
+                else:
+                    grad = _descent(ah, q, dn, None, e_used, embed_unit_norm=False)
+                while halvings < 20 and objective_eta(phi - step * grad, d) > etas[-1]:
+                    step *= 0.5
+                    halvings += 1
                 phi = cm_project(phi - step * grad)
-        base = min(step * 2.0, 1e9) if halvings == 0 else step
-        steps.append(step)
-        q, dn, e = gram(phi)
-        mus.append(min(np.max(np.abs(e)), 1.0))
-        etas.append(objective_eta(phi, d))
-        if mus[-1] < mus[best_iter]:
-            best_phi, best_iter = phi, t
-        if stop_rule and stop is None and t - best_iter >= 50 and etas[t - 50] - etas[t] <= 1e-3 * etas[t]:
+            base = min(step * 2.0, 1e9) if halvings == 0 else step
+            steps.append(step)
+            q, dn, e = gram(phi)
+            mus.append(min(np.max(np.abs(e)), 1.0))
+            etas.append(objective_eta(phi, d))
+            if mus[-1] < mus[best_iter]:
+                best_phi, best_iter = phi, t
+        e_used = shrink_error(e, alpha, beta) if np.isfinite(alpha) else e
+        stalled = stop_rule and t - best_iter >= 50 and etas[t - 50] - etas[t] <= 1e-3 * etas[t]
+        if stop is None and (not e_used.any() or stalled):
             stop = t
     stop = cfg.t_max if stop is None else stop
     return np.array(mus), np.array(etas), np.array(steps), best_phi, best_iter, stop
@@ -485,14 +512,15 @@ DESIGN_GRIDS = {
 @pytest.mark.parametrize("embed_unit_norm", [True, False])
 @pytest.mark.parametrize("init", ["svd", "random"])
 def test_design_equals_reference_loop(grid, alpha, embed_unit_norm, init):
-    """Stationary iterations (alpha * welch_bound above max |E|: alpha = 5 on
-    every grid and alpha = 3 on both circles), which skip the shrink, the
-    descent direction, the line search and the projection, leave every
-    output bitwise equal to the loop that computes each of them and keeps
-    Phi where the shrunk error is zero. So do the updates after the stop:
-    on circle16 the rule fires at iterate 50 for the stationary runs and
-    between 56 and 90 for alpha = inf and for alpha = 1 without the
-    unit-norm embedding; alpha = 1 with it runs all 150 updates."""
+    """The updates after the stop, which skip the shrink, the descent
+    direction, the line search and the projection, leave every output
+    bitwise equal to the loop that computes each of them and stops where
+    the shrunk error is zero. The starts with alpha * welch_bound above
+    max |E| (alpha = 5 on every grid and alpha = 3 on both circles) stop at
+    iterate 0; on circle16 the stall rule fires between 56 and 90 for
+    alpha = inf and for alpha = 1 without the unit-norm embedding, and
+    alpha = 1 with it runs all 150 updates. stop_iter counts the updates
+    that moved Phi: each of them, and none after, made an evaluation."""
     p, nu_max, n, t_max = DESIGN_GRIDS[grid]
     d = build_dictionary(p, nu_max, p)
     cfg = DesignConfig(t_max=t_max, init=init)
@@ -500,6 +528,7 @@ def test_design_equals_reference_loop(grid, alpha, embed_unit_norm, init):
     trace = design(d, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm)
     _assert_trace_equals_reference(trace, _reference_design(d, cfg, phi0, alpha, embed_unit_norm))
     assert trace.evals_per_iter.shape == (cfg.t_max,)
+    assert trace.evals_per_iter[:trace.stop_iter].all() and not trace.evals_per_iter[trace.stop_iter:].any()
     if alpha == 5.0:
         assert not trace.evals_per_iter.any()
 
@@ -587,15 +616,15 @@ def test_design_stationarity_is_absorbing_mid_run():
     """A run that turns stationary part-way stays stationary: every later
     update makes no evaluation, mu and eta repeat that iterate bit for bit,
     and the best iterate is not a later one. On the full circle at P = 16,
-    M = 16, N = 4 from the SVD start, alpha = 2 turns stationary at update 8
-    of 30."""
+    M = 16, N = 4 from the SVD start, alpha = 2 turns stationary at iterate
+    7 of 30, which stop_iter records, so update 8 is the first to keep it."""
     d = build_dictionary(16, 2 * np.pi, 16)
     cfg = DesignConfig(t_max=30)
     trace = design(d, cfg, initial_projection(d, 4, cfg), alpha=2.0)
     evals = trace.evals_per_iter
     assert evals[0] > 0 and not evals[-1]  # active at first, stationary at the end
     first = int(np.argmin(evals))  # update first + 1 is the first to keep its iterate
-    assert not evals[first:].any()
+    assert not evals[first:].any() and trace.stop_iter == first == 7
     assert np.all(trace.coherence_per_iter[first:] == trace.coherence_per_iter[first])
     assert np.all(trace.objective_per_iter[first:] == trace.objective_per_iter[first])
     assert trace.best_iter <= first
