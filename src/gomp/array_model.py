@@ -18,13 +18,12 @@ import numpy as np
 
 def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
     """Array response of an m-sensor ULA (m >= 1) at K finite spatial
-    frequencies nu, in radians per sensor: the m-by-K matrix with entry
-    (i, k) = exp(1j * i * nu[k]), every entry of unit modulus."""
+    frequencies nu (else ValueError naming the entry), in radians per
+    sensor: the m-by-K matrix with entry (i, k) = exp(1j * i * nu[k])."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if m < 1:
         raise ValueError(f"sensor count must be >= 1, got {m}")
-    if not np.isfinite(nu).all():
-        raise ValueError("spatial frequencies must be finite")
+    check_finite(nu, "nu")
     return np.exp(1j * (np.arange(m)[:, None] * nu))
 
 
@@ -35,6 +34,16 @@ def check_finite(x: np.ndarray, name: str, axes: tuple[str, ...] = ()) -> None:
         index = tuple(np.argwhere(~np.isfinite(x))[0].tolist())
         where = ", ".join(f"{axis} {i}".lstrip() for axis, i in zip(axes or ("",) * x.ndim, index))
         raise ValueError(f"{name} has non-finite entry {x[index]} at ({where})")
+
+
+def as_matrix(x, name: str, axes: tuple[str, ...] = ()) -> np.ndarray:
+    """x as a 2-D complex array of finite entries. Raises ValueError naming
+    the input and its shape if it is not 2-D, then as check_finite does."""
+    mat = np.asarray(x, dtype=complex)
+    if mat.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array, got shape {mat.shape}")
+    check_finite(mat, name, axes)
+    return mat
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +89,7 @@ class SourceScene:
         X = np.atleast_2d(np.asarray(self.X, dtype=complex))
         if nu.ndim != 1 or nu.size < 1:
             raise ValueError("nu must be a non-empty vector")
-        if not np.all(np.isfinite(nu)):
-            raise ValueError("all spatial frequencies must be finite")
+        check_finite(nu, "nu")
         if X.shape[0] != nu.size:
             raise ValueError(f"X has {X.shape[0]} rows but nu has {nu.size} entries")
         if X.shape[1] < 1:
@@ -204,10 +212,7 @@ def synthesize_measurements(
 
     ``phi`` may be a ProjectionMatrix or a plain N-by-M array of finite entries.
     """
-    phi_mat = np.asarray(phi, dtype=complex)
-    if phi_mat.ndim != 2:
-        raise ValueError("projection matrix must be two-dimensional")
-    check_finite(phi_mat, "Phi")
+    phi_mat = as_matrix(phi, "Phi")
     n, m = phi_mat.shape
     if m != ula.M:
         raise ValueError(f"projection has {m} columns but the array has {ula.M} sensors")

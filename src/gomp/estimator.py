@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_model import Dictionary, check_finite, steering_gradient, steering_matrix
+from .array_model import Dictionary, as_matrix, check_finite, steering_gradient, steering_matrix
 
 _PINV_RTOL = 1e-12
 # a step whose predicted decrease of ||R||^2 is at most this share of it
@@ -57,8 +57,7 @@ class EstimationResult:
     def __post_init__(self) -> None:
         nu = np.atleast_1d(np.asarray(self.nu_hat, dtype=float))
         x = np.atleast_2d(np.asarray(self.X_hat, dtype=complex))
-        if not np.isfinite(nu).all():
-            raise ValueError("estimated frequencies must be finite")
+        check_finite(nu, "nu_hat")
         if self.stop_reason not in ("converged", "stalled", "max_steps"):
             raise ValueError(f"stop_reason must be 'converged', 'stalled' or 'max_steps', got {self.stop_reason!r}")
         nu.setflags(write=False)
@@ -121,11 +120,10 @@ def omp(y: np.ndarray, psi, k: int, col_norms: np.ndarray) -> tuple[np.ndarray, 
     coefficients : (k, L) complex array of joint least-squares waveforms.
     """
     mat = np.asarray(psi, dtype=complex)
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    y = as_matrix(y, "Y", ("row", "column"))
     n, p = mat.shape
     if y.shape[0] != n:
         raise ValueError(f"measurements have {y.shape[0]} rows but sensing matrix has {n}")
-    check_finite(y, "Y", ("row", "column"))
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
     if k > p:
@@ -171,14 +169,18 @@ def _fit(
 
 
 def ls_signal(y: np.ndarray, phi, nu: float) -> np.ndarray:
-    """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency."""
-    return _fit(np.atleast_2d(np.asarray(y, dtype=complex)), np.asarray(phi, dtype=complex), [nu])[2][0]
+    """Waveform minimizing ||Y - Phi a(nu) x^T||_F for a fixed frequency.
+    Raises ValueError naming Y or Phi if it is not 2-D (with its shape) or
+    has a non-finite entry (with its index), and likewise a non-finite nu."""
+    return _fit(as_matrix(y, "Y", ("row", "column")), as_matrix(phi, "Phi"), [nu])[2][0]
 
 
 def residual_cost(y: np.ndarray, phi, nu: float, x: np.ndarray) -> float:
-    """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2."""
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    return _fit(y, np.asarray(phi, dtype=complex), [nu], np.asarray(x, dtype=complex)[None, :])[4]
+    """Squared Frobenius residual ||Y - Phi a(nu) x^T||_F^2; raises
+    ValueError as ls_signal does, and for a non-finite entry of x."""
+    x = np.asarray(x, dtype=complex)
+    check_finite(x, "x")
+    return _fit(as_matrix(y, "Y", ("row", "column")), as_matrix(phi, "Phi"), [nu], x[None, :])[4]
 
 
 def delta_step(resid: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -251,21 +253,20 @@ def refine_multi(
     Raises
     ------
     ValueError
-        If max_steps is below 1, or Y or X0 has a non-finite entry (named
-        with its index).
+        If max_steps is below 1, Y or Phi is not 2-D (named with its shape),
+        or Y, Phi or X0 has a non-finite entry (named with its index).
     numpy.linalg.LinAlgError
         If the joint system Phi A(nu) is rank-deficient, for example when
         two refined frequencies coincide; omp raises the same for its refit.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    phi_mat = np.asarray(phi, dtype=complex)
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    phi_mat = as_matrix(phi, "Phi")
+    y = as_matrix(y, "Y", ("row", "column"))
     nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float)).copy()
     x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
     if x.shape[0] != nu.size:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
-    check_finite(y, "Y", ("row", "column"))
     check_finite(x, "X0", ("source", "sample"))
     a, w, x, r, cost = _fit(y, phi_mat, nu, x)
     history = [cost]
@@ -305,20 +306,18 @@ def estimate(
     real or imaginary part, and X_hat and the history come back times 2^e
     and 4^e (inf or 0 beyond the float range), with OMP's grid indices. The
     scaling is exact, so the estimate does not depend on the scale of Y,
-    and it keeps OMP's scores and the squared residuals in range. A
-    non-finite or all-zero Y has e = 0 and reaches omp, which rejects it. A
+    and it keeps OMP's scores and the squared residuals in range. A Y that
+    is not 2-D, non-finite or all zero reaches omp, which rejects it. A
     Phi with a non-finite entry is rejected before Psi is formed from it.
     """
-    phi_mat = np.asarray(phi, dtype=complex)
     if sensing is None:
-        check_finite(phi_mat, "Phi")
-        psi = phi_mat @ dictionary.A_ring
+        psi = as_matrix(phi, "Phi") @ dictionary.A_ring
         sensing = psi, np.linalg.norm(psi, axis=0)
     y = np.ascontiguousarray(y, dtype=complex).view(float)
     e = math.frexp(np.abs(y).max(initial=0.0))[1]
     y = np.ldexp(y, -e).view(complex)
     indices, x0 = omp(y, sensing[0], k, sensing[1])
-    fit = refine_multi(y, phi_mat, dictionary.grid[indices], x0, max_steps)
+    fit = refine_multi(y, phi, dictionary.grid[indices], x0, max_steps)
     with np.errstate(over="ignore"):
         x = np.ldexp(fit.X_hat.view(float), e).view(complex)
         history = np.ldexp(fit.histories[0], 2 * e)

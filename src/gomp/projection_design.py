@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import Dictionary, check_finite
+from .array_model import Dictionary, as_matrix, check_finite
 
 _CM_TOL = 1e-9
 
@@ -41,14 +41,16 @@ class ProjectionMatrix:
     """N-by-M analog combiner with unit-modulus (phase-only) entries.
 
     np.asarray(projection) gives the matrix, so every function that takes a
-    projection also takes a plain complex array.
+    projection also takes a plain complex array. A non-finite entry is
+    named with its index, before the unit-modulus test.
     """
 
     phi: np.ndarray
 
     def __post_init__(self) -> None:
         phi = np.atleast_2d(np.asarray(self.phi, dtype=complex))
-        if not np.max(np.abs(np.abs(phi) - 1.0)) <= _CM_TOL:  # NaN fails too
+        check_finite(phi, "Phi")
+        if not np.max(np.abs(np.abs(phi) - 1.0)) <= _CM_TOL:
             raise ValueError("every projection entry must have unit modulus")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -120,10 +122,9 @@ def mutual_coherence(psi) -> float:
 
     max over i != j of |psi_i^H psi_j| / (||psi_i|| ||psi_j||).
     """
-    mat = np.asarray(psi, dtype=complex)
-    if mat.ndim != 2 or mat.shape[1] < 2:
+    mat = as_matrix(psi, "Psi")
+    if mat.shape[1] < 2:
         raise ValueError("mutual coherence needs a matrix with at least two columns")
-    check_finite(mat, "Psi")
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for a zero column")
@@ -217,8 +218,8 @@ def shrink_error(e: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     shrink toward zero by the threshold while keeping their phase, and NaN
     entries stay NaN. Hermitian inputs stay Hermitian. A zero threshold
     returns e * 1.0 and an infinite one e * 0.0. design() stops at an
-    iterate with max |E| <= alpha * beta instead of calling this, since
-    every entry would then be zero.
+    iterate with coherence mu <= alpha * beta instead of calling this,
+    since for alpha * beta < 1 every entry would then be zero.
     """
     if not alpha >= 1:
         raise ValueError(f"alpha >= 1 required, got {alpha}")
@@ -282,8 +283,8 @@ def random_cm_projection(n: int, m: int, seed: int) -> ProjectionMatrix:
 
 
 def initial_projection(dictionary: Dictionary, n: int, cfg: DesignConfig, seed: int = 0) -> ProjectionMatrix:
-    """Starting point for the designer per cfg.init; seed drives the random
-    phases.
+    """Starting point for the designer per cfg.init, for 1 <= N <= M (else
+    ValueError, for either start); seed drives the random phases.
 
     The SVD start is dictionary-aware: the N principal left-singular-vector
     rows of A_ring, pushed onto the unit circle entry-wise. It falls back
@@ -291,10 +292,10 @@ def initial_projection(dictionary: Dictionary, n: int, cfg: DesignConfig, seed: 
     or fully parallel columns, which happens for degenerate dictionaries
     where the singular basis is arbitrary.
     """
-    if cfg.init == "random":
-        return random_cm_projection(n, dictionary.M, seed)
     if n < 1 or n > dictionary.M:
         raise ValueError(f"need 1 <= N <= M, got N={n}, M={dictionary.M}")
+    if cfg.init == "random":
+        return random_cm_projection(n, dictionary.M, seed)
     u = np.linalg.svd(dictionary.A_ring, full_matrices=False)[0]
     phi = ProjectionMatrix(phi=cm_project(u[:, :n].conj().T))
     q = phi.phi @ dictionary.A_ring
@@ -326,16 +327,16 @@ def design(
     checks it) with one column per sensor of the dictionary.
 
     The run stops at the first iterate t that is stationary (alpha finite
-    and max |E| <= alpha * welch_bound, so that the shrunk error, and with
-    it the descent direction, is all zeros and Phi is a fixed point of the
-    update), or at which mu has set no new best for the last 50 iterations
-    (t - best_iter >= 50) and eta fell by at most 1e-3 of itself over them
-    (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max only caps it. Every later
-    update leaves Phi and its Gram state as they are; it only records the
-    carried-over step, with 0 evaluations, and doubles it. So the trace
-    keeps t_max + 1 entries and repeats the stop iterate, which stop_iter
-    records, bit for bit; a start that is already stationary is returned
-    as is, with stop_iter 0.
+    and mu <= alpha * welch_bound, which for alpha * welch_bound < 1 makes
+    the shrunk error, and with it the descent direction, all zeros and Phi
+    a fixed point of the update), or at which mu has set no new best for
+    the last 50 iterations (t - best_iter >= 50) and eta fell by at most
+    1e-3 of itself over them (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max
+    only caps it. Every later update leaves Phi and its Gram state as they
+    are; it only records the carried-over step, with 0 evaluations, and
+    doubles it. So the trace keeps t_max + 1 entries and repeats the stop
+    iterate, which stop_iter records, bit for bit; a start that is already
+    stationary is returned as is, with stop_iter 0.
 
     With embed_unit_norm=False the column normalization is treated as a
     constant within each step (only the first gradient term is used and
@@ -355,9 +356,9 @@ def design(
 
     def state_at(phi):
         q, d, s, e = _gram_state(phi, a)
-        return q, d, s, e, float(np.max(np.abs(e))), _frame_eta(q, d)
+        return q, d, s, e, _coherence(e), _frame_eta(q, d)
 
-    q, d, s, e, e_max, eta = state_at(phi)
+    q, d, s, e, mu, eta = state_at(phi)
     mus, etas, steps, evals = [], [], [], []
     best_phi, best_iter, stop_iter = phi, 0, cfg.t_max
     base = cfg.step_size
@@ -376,14 +377,14 @@ def design(
                     z = phi - step * grad
                 phi = cm_project(z)
                 evals.append(min(halvings + 1, 20))
-                q, d, s, e, e_max, eta = state_at(phi)
+                q, d, s, e, mu, eta = state_at(phi)
             base = min(step * 2.0, 1e9) if halvings == 0 else step
             steps.append(step)
-        mus.append(min(e_max, 1.0))
+        mus.append(mu)
         etas.append(eta)
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
-        stationary = shrink and e_max <= alpha * beta
+        stationary = shrink and mu <= alpha * beta
         stalled = t - best_iter >= _STALL_WINDOW and etas[t - _STALL_WINDOW] - etas[t] <= _STALL_RTOL * etas[t]
         if t < stop_iter and (stationary or stalled):
             stop_iter = t

@@ -50,6 +50,13 @@ def test_steering_vector_rejects_bad_args():
         steering_matrix(np.nan, 4)
 
 
+def test_steering_matrix_and_scene_name_a_non_finite_frequency():
+    with pytest.raises(ValueError, match=r"nu has non-finite entry nan at \(1\)"):
+        steering_matrix([0.5, np.nan], 4)
+    with pytest.raises(ValueError, match=r"nu has non-finite entry nan at \(1\)"):
+        SourceScene(nu=[0.5, np.nan], X=np.ones((2, 3)))
+
+
 def test_steering_gradient_zero_frequency():
     assert np.allclose(steering_gradient(steering_matrix(0.0, 3))[:, 0], [0.0, 1j, 2j])
 
@@ -224,6 +231,11 @@ def test_synthesis_dimension_mismatch():
     phi = random_cm_projection(4, 8, seed=1)
     with pytest.raises(ValueError):
         synthesize_measurements(scene, phi, UlaConfig(M=16), 10.0, seed=0)
+
+
+def test_synthesis_names_a_projection_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"Phi must be a 2-D array, got shape \(16,\)"):
+        synthesize_measurements(_small_scene(), np.ones(16), UlaConfig(M=16), 10.0, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

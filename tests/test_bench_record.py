@@ -2,6 +2,7 @@
 which the bounds gate, and against the anchor, which is only reported."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,17 @@ def test_summary_against_parent_and_anchor():
 
 def test_seeds_of_ranges_and_lists():
     assert bench_record.seeds_of("1-3,7,10-11") == [1, 2, 3, 7, 10, 11]
+
+
+def test_record_counts_each_checkouts_source_lines(tmp_path):
+    """Every record holds each checkout's src/gomp/*.py line total, as wc -l
+    counts it; a record with no plan runs nothing else."""
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}), ("change", {"a.py": "x = 1\n"})):
+        (tmp_path / side / "src" / "gomp").mkdir(parents=True)
+        for name, text in {**files, "notes.txt": "not\ncounted\n"}.items():
+            (tmp_path / side / "src" / "gomp" / name).write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--out", str(out)])
+    checkouts = json.loads(out.read_text())["checkouts"]
+    assert checkouts["parent"]["src_lines"] == 3 and checkouts["change"]["src_lines"] == 1

@@ -214,6 +214,62 @@ def test_refinement_names_a_non_finite_measurement_or_start(bad):
         refine_single(y, phi, 2.0, x0_bad[1], 10)
 
 
+def test_a_measurement_vector_is_rejected_by_its_shape():
+    """A single snapshot of shape (N,) is not read as one row, which would
+    be right only for N = 1: every estimator function that takes Y names it
+    and its shape."""
+    phi, d = _designed_phi(16, 64, 64)
+    psi = phi.phi @ d.A_ring
+    y = psi[:, 3]
+    calls = (
+        lambda: omp(y, psi, 1, np.linalg.norm(psi, axis=0)),
+        lambda: estimate(y, phi, d, 1, 10),
+        lambda: refine_multi(y, phi, [d.grid[3]], np.ones((1, 1)), 10),
+        lambda: ls_signal(y, phi, d.grid[3]),
+        lambda: residual_cost(y, phi, d.grid[3], np.ones(1)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"Y must be a 2-D array, got shape \(16,\)"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimator_functions_name_a_non_finite_projection_entry(bad):
+    """A plain-array Phi with a non-finite entry is named with its index
+    before any product with it, which would warn."""
+    phi = random_cm_projection(8, 32, seed=17).phi
+    y = phi @ (steering_matrix([0.4], 32) @ np.ones((1, 4)))
+    phi_bad = phi.copy()
+    phi_bad[2, 7] = bad
+    match = r"Phi has non-finite entry .* at \(2, 7\)"
+    with pytest.raises(ValueError, match=match):
+        refine_multi(y, phi_bad, [0.4], np.ones((1, 4)), 10)
+    with pytest.raises(ValueError, match=match):
+        ls_signal(y, phi_bad, 0.4)
+    with pytest.raises(ValueError, match=match):
+        residual_cost(y, phi_bad, 0.4, np.ones(4))
+
+
+def test_ls_signal_and_residual_cost_name_a_non_finite_input():
+    """A NaN in Y no longer gives NaN waveforms, nor an infinite waveform
+    entry a NaN cost."""
+    phi = random_cm_projection(8, 32, seed=17).phi
+    y = phi @ (steering_matrix([0.4], 32) @ np.ones((1, 4)))
+    y_bad = y.copy()
+    y_bad[5, 2] = np.nan
+    with pytest.raises(ValueError, match=r"Y has non-finite entry \(nan\+0j\) at \(row 5, column 2\)"):
+        ls_signal(y_bad, phi, 0.4)
+    x = np.ones(4, dtype=complex)
+    x[3] = np.inf
+    with pytest.raises(ValueError, match=r"x has non-finite entry \(inf\+0j\) at \(3\)"):
+        residual_cost(y, phi, 0.4, x)
+
+
+def test_estimation_result_names_a_non_finite_frequency():
+    with pytest.raises(ValueError, match=r"nu_hat has non-finite entry inf at \(1\)"):
+        EstimationResult(nu_hat=[0.1, np.inf], X_hat=np.ones((2, 3)), histories=(np.ones(1),), stop_reason="stalled")
+
+
 # ---------------------------------------------------------------- ls_signal
 
 def test_ls_signal_exact_on_model_match():

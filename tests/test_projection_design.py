@@ -375,9 +375,24 @@ def test_random_cm_projection_deterministic():
 def test_projection_matrix_rejects_non_cm():
     with pytest.raises(ValueError):
         ProjectionMatrix(phi=np.array([[1.0, 0.5]]))
-    for bad in (np.nan, np.inf, complex(np.nan, 1.0)):  # a NaN modulus is not 1 either
-        with pytest.raises(ValueError, match="unit modulus"):
+    for bad in (np.nan, np.inf, complex(np.nan, 1.0)):  # named before the modulus test
+        with pytest.raises(ValueError, match=r"Phi has non-finite entry .* at \(0, 0\)"):
             ProjectionMatrix(phi=[[bad, 1], [1, 1j]])
+
+
+@pytest.mark.parametrize("init", ["svd", "random"])
+@pytest.mark.parametrize("n", [0, 9])
+def test_initial_projection_checks_n_for_either_start(init, n):
+    """1 <= N <= M is checked before the start is chosen: the random start
+    neither returns a 9x8 matrix nor fails inside numpy at N = 0."""
+    d = build_dictionary(16, 2 * np.pi, 8)
+    with pytest.raises(ValueError, match=f"need 1 <= N <= M, got N={n}, M=8"):
+        initial_projection(d, n, DesignConfig(init=init))
+
+
+def test_mutual_coherence_names_a_matrix_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"Psi must be a 2-D array, got shape \(4,\)"):
+        mutual_coherence(np.ones(4))
 
 
 @pytest.mark.parametrize("mu", [[0.5, np.nan], [np.nan]])
@@ -408,16 +423,19 @@ def test_design_checks_the_start_before_any_iteration():
     """phi0 is checked as a ProjectionMatrix and against the dictionary's
     sensor count before the first Gram state: a start off the unit circle
     is rejected even where an iterate would beat it, and neither a NaN
-    start nor a wrong column count reaches numpy."""
+    start nor a wrong column count reaches numpy; a NaN entry is named with
+    its index."""
     d = build_dictionary(64, 2 * np.pi, 64)
     cfg = DesignConfig(t_max=20)
     phi0 = initial_projection(d, 16, cfg).phi
     moduli = np.random.default_rng(4).uniform(0.5, 1.5, phi0.shape)
     nan_start = phi0.copy()
     nan_start[3, 9] = np.nan
-    for start in (2.0 * phi0, moduli * phi0, nan_start):
+    for start in (2.0 * phi0, moduli * phi0):
         with pytest.raises(ValueError, match="unit modulus"):
             design(d, cfg, start, alpha=1.0)
+    with pytest.raises(ValueError, match=r"Phi has non-finite entry \(nan\+0j\) at \(3, 9\)"):
+        design(d, cfg, nan_start, alpha=1.0)
     with pytest.raises(ValueError, match="phi0 has 32 columns but the dictionary has M=64 sensors"):
         design(d, cfg, phi0[:, :32], alpha=1.0)
 

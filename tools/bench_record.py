@@ -6,9 +6,10 @@ and writes for each workload and end-to-end metric both sides' medians and
 quartiles, the parent's inter-quartile range (the noise band), the ratio of
 the medians, the pairs the change won and whether the change stayed within
 the bound BENCHMARK.json fixes; next to them every run's scaled metrics, its
-``raw_metrics`` and host-speed scales, the commit each checkout ran and the
-environment. ``--traced W`` adds one traced seed-1 run (``--trace 1``) per
-checkout for workload W.
+``raw_metrics`` and host-speed scales, the commit each checkout ran, the line
+total of its ``src/gomp/*.py`` (as ``wc -l`` counts it) and the environment.
+``--traced W`` adds one traced seed-1 run (``--trace 1``) per checkout for
+workload W.
 
 ``--anchor`` adds a third checkout, a fixed commit that every record runs,
 to the same session: each pair runs it too (parent, change, anchor on even
@@ -45,6 +46,11 @@ def seeds_of(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def src_lines(checkout: Path) -> int:
+    """Newline count of the checkout's src/gomp/*.py, the total wc -l prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "gomp").glob("*.py"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -127,7 +133,8 @@ def main(argv=None) -> None:
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "order": f"pairs alternate the run order: {', '.join(sides)} on even pair indices, reversed on odd ones",
-        "checkouts": {s: {"path": p.name, "commit": None, "dirty": None} for s, p in checkouts.items()},
+        "checkouts": {s: {"path": p.name, "commit": None, "dirty": None, "src_lines": src_lines(p)}
+                      for s, p in checkouts.items()},
         "environment": None,
         "workloads": {},
         "traced": {},
