@@ -36,12 +36,19 @@ def check_finite(x: np.ndarray, name: str, axes: tuple[str, ...] = ()) -> None:
         raise ValueError(f"{name} has non-finite entry {x[index]} at ({where})")
 
 
-def as_matrix(x, name: str, axes: tuple[str, ...] = ()) -> np.ndarray:
-    """x as a 2-D complex array of finite entries. Raises ValueError naming
-    the input and its shape if it is not 2-D, then as check_finite does."""
+def as_2d(x, name: str) -> np.ndarray:
+    """x as a 2-D complex array. Raises ValueError naming the input and its
+    shape if it is not 2-D; an O(1) test, with no scan of the entries."""
     mat = np.asarray(x, dtype=complex)
     if mat.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {mat.shape}")
+    return mat
+
+
+def as_matrix(x, name: str, axes: tuple[str, ...] = ()) -> np.ndarray:
+    """x as a 2-D complex array of finite entries. Raises ValueError as
+    as_2d does, then as check_finite does."""
+    mat = as_2d(x, name)
     check_finite(mat, name, axes)
     return mat
 

@@ -26,6 +26,7 @@ from .array_model import (
     Dictionary,
     SourceScene,
     UlaConfig,
+    as_matrix,
     build_dictionary,
     noise_scale_for_snr,
     synthesize_measurements,
@@ -415,8 +416,9 @@ def read_measurements_csv(path) -> np.ndarray:
 
 
 def write_measurements_csv(y: np.ndarray, path) -> None:
-    """Inverse of read_measurements_csv."""
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    """Inverse of read_measurements_csv, for a 2-D Y of finite entries
+    (anything else is named by as_matrix, and no file is written)."""
+    y = as_matrix(y, "Y", ("row", "column"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{y.shape[0]},{y.shape[1]}\n")
         for row in y:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_model import Dictionary, as_matrix, check_finite, steering_gradient, steering_matrix
+from .array_model import Dictionary, as_2d, as_matrix, check_finite, steering_gradient, steering_matrix
 
 _PINV_RTOL = 1e-12
 # a step whose predicted decrease of ||R||^2 is at most this share of it
@@ -111,15 +111,17 @@ def omp(y: np.ndarray, psi, k: int, col_norms: np.ndarray) -> tuple[np.ndarray, 
     k : int
         Number of columns to select, at most N.
     col_norms : (P,) float array
-        The Euclidean norms of psi's columns, which the caller forms once
-        with psi (np.linalg.norm(psi, axis=0)).
+        The Euclidean norms of psi's own columns, which the caller forms
+        once with psi (np.linalg.norm(psi, axis=0)). omp checks that they
+        are positive and finite, and does not scan psi itself: finite norms
+        of psi's own columns are what make its entries finite.
 
     Returns
     -------
     indices : (k,) int array of selected grid indices, in selection order.
     coefficients : (k, L) complex array of joint least-squares waveforms.
     """
-    mat = np.asarray(psi, dtype=complex)
+    mat = as_2d(psi, "Psi")
     y = as_matrix(y, "Y", ("row", "column"))
     n, p = mat.shape
     if y.shape[0] != n:

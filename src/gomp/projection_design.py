@@ -29,10 +29,12 @@ _CM_TOL = 1e-9
 # shrinkage relaxations alpha that design_with_alpha_sweep tries by default
 DEFAULT_ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
 
-# design() stops at a stationary iterate, or once mu has set no new best for
-# _STALL_WINDOW iterations and eta fell by at most _STALL_RTOL of itself over
-# them (MINPACK's relative reduction test, read over a window)
+# design() stops at a stationary iterate, or once, over the last
+# _STALL_WINDOW iterations, the running minimum of mu fell by at most
+# _STALL_MU_RTOL of itself and eta by at most _STALL_RTOL of itself
+# (MINPACK's relative reduction test, read over a window)
 _STALL_WINDOW = 50
+_STALL_MU_RTOL = 1e-4
 _STALL_RTOL = 1e-3
 
 
@@ -64,10 +66,12 @@ class DesignConfig:
     """Gradient-descent designer settings.
 
     t_max caps the iterations (design may stop earlier, once coherence and
-    eta have both stalled); step_size is the initial step, which the
-    designer halves (up to 20 times per iteration) whenever the trial step
-    increases eta before re-projection, and doubles after an iteration that
-    needed no halving. init picks the start (see initial_projection).
+    eta have both stalled: over 50 iterations the best coherence fell by at
+    most 1e-4 of itself and eta by at most 1e-3 of itself); step_size is
+    the initial step, which the designer halves (up to 20 times per
+    iteration) whenever the trial step increases eta before re-projection,
+    and doubles after an iteration that needed no halving. init picks the
+    start (see initial_projection).
     """
 
     t_max: int = 200
@@ -329,13 +333,16 @@ def design(
     The run stops at the first iterate t that is stationary (alpha finite
     and mu <= alpha * welch_bound, which for alpha * welch_bound < 1 makes
     the shrunk error, and with it the descent direction, all zeros and Phi
-    a fixed point of the update), or at which mu has set no new best for
-    the last 50 iterations (t - best_iter >= 50) and eta fell by at most
-    1e-3 of itself over them (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max
-    only caps it. Every later update leaves Phi and its Gram state as they
-    are; it only records the carried-over step, with 0 evaluations, and
-    doubles it. So the trace keeps t_max + 1 entries and repeats the stop
-    iterate, which stop_iter records, bit for bit; a start that is already
+    a fixed point of the update), or at which, over the last 50
+    iterations, the running minimum m of mu fell by at most 1e-4 of itself
+    (m[t - 50] - m[t] <= 1e-4 m[t]) and eta by at most 1e-3 of itself
+    (eta[t - 50] - eta[t] <= 1e-3 eta[t]); t_max only caps it. A best mu
+    that improves only in its 5th digit or later thus no longer holds the
+    run open, and final_phi is still the earliest iterate with the lowest
+    mu. Every later update leaves Phi and its Gram state as they are; it
+    only records the carried-over step, with 0 evaluations, and doubles it.
+    So the trace keeps t_max + 1 entries and repeats the stop iterate,
+    which stop_iter records, bit for bit; a start that is already
     stationary is returned as is, with stop_iter 0.
 
     With embed_unit_norm=False the column normalization is treated as a
@@ -359,7 +366,7 @@ def design(
         return q, d, s, e, _coherence(e), _frame_eta(q, d)
 
     q, d, s, e, mu, eta = state_at(phi)
-    mus, etas, steps, evals = [], [], [], []
+    mus, runmin, etas, steps, evals = [], [], [], [], []
     best_phi, best_iter, stop_iter = phi, 0, cfg.t_max
     base = cfg.step_size
     for t in range(cfg.t_max + 1):
@@ -384,8 +391,14 @@ def design(
         etas.append(eta)
         if mus[t] < mus[best_iter]:
             best_phi, best_iter = phi, t
+        runmin.append(mus[best_iter])
         stationary = shrink and mu <= alpha * beta
-        stalled = t - best_iter >= _STALL_WINDOW and etas[t - _STALL_WINDOW] - etas[t] <= _STALL_RTOL * etas[t]
+        w = t - _STALL_WINDOW
+        stalled = (
+            w >= 0
+            and runmin[w] - runmin[t] <= _STALL_MU_RTOL * runmin[t]
+            and etas[w] - etas[t] <= _STALL_RTOL * etas[t]
+        )
         if t < stop_iter and (stationary or stalled):
             stop_iter = t
     return DesignTrace(

@@ -16,7 +16,6 @@ frozen here; tolerances are stated inline.
  9. Byte-identical CSV outputs for identical config and seed.
 """
 
-import math
 import time
 from functools import lru_cache
 
@@ -39,9 +38,7 @@ from gomp.bench import (
 from gomp.estimator import ls_signal, omp, refine_multi, refine_single
 from gomp.projection_design import (
     DesignConfig,
-    design,
     design_with_alpha_sweep,
-    dft_projection,
     gradient_eta,
     gram_error,
     initial_projection,
@@ -49,6 +46,15 @@ from gomp.projection_design import (
     objective_eta,
     random_cm_projection,
     welch_bound,
+)
+
+from acceptance_configs import (
+    COHERENCE_GRIDS,
+    coherence_ordering,
+    fig3_config,
+    floor_cases,
+    floor_ratio,
+    svd_start_coherence,
 )
 
 
@@ -133,26 +139,12 @@ def test_criterion_3_coherence_ordering():
     from its own random phases (init="random"); one extra run from the
     default SVD start must beat the same baselines. The no-shrink ablation
     is design() with alpha = inf from the same start."""
-
-    def designed_and_no_shrink(d, cfg, seed=0):
-        phi0 = initial_projection(d, 16, cfg, seed)
-        return (design_with_alpha_sweep(d, cfg, phi0).final_coherence,
-                design(d, cfg, phi0, alpha=math.inf).final_coherence)
-
     start = time.monotonic()
     lines = []
-    for p in (64, 128):
-        d = build_dictionary(p, 2 * np.pi, 64)
-        runs = [designed_and_no_shrink(d, DesignConfig(t_max=200, init="random"), seed)
-                for seed in range(10)]
-        designed, no_shrink = zip(*runs)
-        rand = [mutual_coherence(random_cm_projection(16, 64, seed=seed).phi @ d.A_ring)
-                for seed in range(10)]
-        svd_design, svd_noshrink = designed_and_no_shrink(d, DesignConfig(t_max=200))
-        dft_mu = mutual_coherence(dft_projection(16, 64).phi @ d.A_ring)
-        med_design = float(np.median(designed))
-        med_noshrink = float(np.median(no_shrink))
-        med_rand = float(np.median(rand))
+    for p in COHERENCE_GRIDS:
+        med = coherence_ordering(p, range(10))
+        svd_design, svd_noshrink = svd_start_coherence(p)
+        med_design, med_noshrink, med_rand, dft_mu = med["designed"], med["no_shrink"], med["random"], med["dft"]
         lines.append(f"P={p}: designed={med_design:.4f} no-shrink={med_noshrink:.4f} "
                      f"random={med_rand:.4f} dft={dft_mu:.4f} "
                      f"svd-start designed={svd_design:.4f} no-shrink={svd_noshrink:.4f}")
@@ -269,26 +261,12 @@ def test_criterion_7_sampling_error_floor():
     wrap-around alias of the top grid cell, and the K=5 case uses L=64
     snapshots so per-source powers concentrate enough that flank images
     cannot outscore a weak source."""
-    cases = [
-        (1, SweepConfig(N=16, M=64, P=128, K=1, L=16, trials=600, seed=107,
-                        snr_grid_db=(np.inf,),
-                        scene_nu_max=2 * np.pi - 2 * np.pi / 128,
-                        i_max=2, j_max=1,
-                        design=DesignConfig(t_max=200))),
-        (5, SweepConfig(N=48, M=64, P=128, K=5, L=64, trials=600, seed=108,
-                        snr_grid_db=(np.inf,),
-                        scene_nu_max=2 * np.pi - 2 * np.pi / 128,
-                        min_separation=6 * 2 * np.pi / 128,
-                        i_max=2, j_max=1,
-                        design=DesignConfig(t_max=200))),
-    ]
     summary = []
-    for k, cfg in cases:
+    for k, cfg in floor_cases():
         result = run_mse_sweep(cfg)
         row = result.rows[0]
         assert row.failed_trials == 0
-        floor = cfg.K * (cfg.nu_max / cfg.P) ** 2 / 12.0
-        ratio = row.mse_ongrid / floor
+        ratio = floor_ratio(cfg, row.mse_ongrid)
         summary.append(f"K={k}: ratio={ratio:.3f} over {row.trials_ok} trials")
         assert 0.8 <= ratio <= 1.2, f"K={k}: mse_ongrid/floor = {ratio:.3f}"
     print(f"\nACCEPTANCE 7 sampling-error floor: PASS ({'; '.join(summary)})")
@@ -299,11 +277,7 @@ def test_criterion_8_fig3_qualitative_reproduction():
     refined MSE below on-grid MSE at every SNR >= 10 dB and both curves
     non-increasing in SNR up to one inversion."""
     start = time.monotonic()
-    cfg = SweepConfig(N=16, M=64, P=64, K=5, L=16, trials=200, seed=109,
-                      snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0),
-                      nu_max=2 * np.pi * 15 / 64,
-                      i_max=10, j_max=5,
-                      design=DesignConfig(t_max=200))
+    cfg = fig3_config()
     result = run_mse_sweep(cfg)
     rows = sorted(result.rows, key=lambda r: r.snr_db)
     ongrid = np.array([r.mse_ongrid for r in rows])

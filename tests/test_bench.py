@@ -289,6 +289,19 @@ def test_measurements_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "3,5"
 
 
+def test_write_measurements_csv_names_a_bad_y_and_writes_nothing(tmp_path):
+    """A Y of shape (N,) is not guessed to be one row, and a non-finite
+    entry is named, not written."""
+    path = tmp_path / "y.csv"
+    with pytest.raises(ValueError, match=r"Y must be a 2-D array, got shape \(4,\)"):
+        write_measurements_csv(np.ones(4), path)
+    y = np.ones((2, 3), dtype=complex)
+    y[1, 2] = np.inf
+    with pytest.raises(ValueError, match=r"Y has non-finite entry \(inf\+0j\) at \(row 1, column 2\)"):
+        write_measurements_csv(y, path)
+    assert not path.exists()
+
+
 def test_measurements_csv_trailing_i_and_non_finite(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text("2,2\n1+2i, -0.5i\n\n3,4-1j\n")

@@ -172,6 +172,12 @@ def test_omp_checks_the_column_norms_it_is_given():
             omp(y, psi, 1, norms)
 
 
+def test_omp_names_a_sensing_matrix_that_is_not_2d():
+    """A 1-D psi is named with its shape, not left to numpy's unpacking."""
+    with pytest.raises(ValueError, match=r"Psi must be a 2-D array, got shape \(4,\)"):
+        omp(np.ones((4, 2)), np.ones(4), 1, np.ones(4))
+
+
 def test_estimate_rejects_a_projection_with_a_nan_entry():
     """A plain-array Phi with one NaN entry, which would give Psi a NaN
     column norm, is rejected by name before Psi is formed."""

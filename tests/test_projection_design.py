@@ -6,7 +6,11 @@ directional derivative of eta along Delta equals Re<G, Delta> with a
 single constant 1.0), descent behavior, and the design loop contracts.
 """
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ from gomp.projection_design import (
 # direction is exactly twice the conjugate Wirtinger gradient, so the
 # directional derivative of eta along Delta is 1.0 * Re<G, Delta>
 FD_CONSTANT = 1.0
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _random_instance(rng, n=None, m=None, p=None):
@@ -440,7 +446,7 @@ def test_design_checks_the_start_before_any_iteration():
         design(d, cfg, phi0[:, :32], alpha=1.0)
 
 
-def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True):
+def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True, mu_rtol=1e-4):
     """The design loop spelled out with the public kernels and no shortcut:
     at every iterate a fresh Gram error, its shrunk version, the direction
     gradient_eta (only its first term 4 Q D E D A^H, from _descent, without
@@ -448,10 +454,11 @@ def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True)
     objective_eta of the trial point rises, projection, and doubling the
     next start step after an iteration that needed no halving. Every update
     after the stop leaves Phi where it is: the first iterate t whose shrunk
-    error is zero, or at which mu set no new best over the last 50
-    iterations and eta fell by at most 1e-3 of itself over them.
-    stop_rule=False leaves out the second rule, as the designer did before
-    it had it."""
+    error is zero, or at which, over the last 50 iterations, the running
+    minimum of mu fell by at most mu_rtol of itself and eta by at most 1e-3
+    of itself. mu_rtol=None spells the mu half as it read before it had a
+    tolerance, no new best over the window; stop_rule=False leaves out the
+    second rule, as the designer did before it had it."""
     beta = welch_bound(phi0.phi.shape[0], d.P)
     ah = d.A_ring.conj().T
     phi = np.array(phi0.phi)
@@ -461,7 +468,7 @@ def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True)
         return q, _inv_norms(q), gram_error(q, _inv_norms(q))
 
     q, dn, e = gram(phi)
-    mus, etas, steps = [min(np.max(np.abs(e)), 1.0)], [objective_eta(phi, d)], []
+    mus, etas, steps, runmin = [min(np.max(np.abs(e)), 1.0)], [objective_eta(phi, d)], [], []
     best_phi, best_iter, stop = phi, 0, None
     base = cfg.step_size
     for t in range(cfg.t_max + 1):
@@ -483,8 +490,13 @@ def _reference_design(d, cfg, phi0, alpha, embed_unit_norm=True, stop_rule=True)
             etas.append(objective_eta(phi, d))
             if mus[-1] < mus[best_iter]:
                 best_phi, best_iter = phi, t
+        runmin.append(mus[best_iter])
         e_used = shrink_error(e, alpha, beta) if np.isfinite(alpha) else e
-        stalled = stop_rule and t - best_iter >= 50 and etas[t - 50] - etas[t] <= 1e-3 * etas[t]
+        if mu_rtol is None:
+            mu_stalled = t - best_iter >= 50
+        else:
+            mu_stalled = t >= 50 and runmin[t - 50] - runmin[t] <= mu_rtol * runmin[t]
+        stalled = stop_rule and mu_stalled and etas[t - 50] - etas[t] <= 1e-3 * etas[t]
         if stop is None and (not e_used.any() or stalled):
             stop = t
     stop = cfg.t_max if stop is None else stop
@@ -572,20 +584,67 @@ def test_design_stop_freezes_the_rest_of_the_trace():
     assert improving.best_iter == cfg.t_max and improving.stop_iter == cfg.t_max
 
 
+@pytest.mark.parametrize("grid", DESIGN_GRIDS)
+def test_stall_tolerance_zero_is_the_old_rule(grid, monkeypatch):
+    """At _STALL_MU_RTOL = 0 the mu half of the stall test reads "no new
+    best over the window", so every trace is bitwise the one the designer
+    gave before the tolerance."""
+    monkeypatch.setattr(projection_design, "_STALL_MU_RTOL", 0.0)
+    p, nu_max, n, t_max = DESIGN_GRIDS[grid]
+    d = build_dictionary(p, nu_max, p)
+    for init in ("svd", "random"):
+        cfg = DesignConfig(t_max=t_max, init=init)
+        phi0 = initial_projection(d, n, cfg)
+        for alpha in (1.0, 3.0, 5.0, np.inf):
+            for embed_unit_norm in (True, False):
+                trace = design(d, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm)
+                _assert_trace_equals_reference(
+                    trace, _reference_design(d, cfg, phi0, alpha, embed_unit_norm, mu_rtol=None)
+                )
+
+
 def test_alpha_sweep_with_the_stop_keeps_the_fig3_phi():
-    """A stopped candidate's best mu is its full run's or higher, so the
-    sweep keeps its winner whenever the winner reaches its own best iterate
-    before any stop. On the Fig.-3 grid from the SVD start the winner,
-    alpha = 3, sets its best at the last of 200 updates, so the designed Phi
-    is bitwise the winner of the reference loop without the stop."""
+    """On the Fig.-3 grid from the SVD start the winner is alpha = 3, as in
+    the reference loop without the stop. Its best mu keeps improving in the
+    7th digit up to the last of 200 updates; the stall rule stops it before
+    t_max with its mu within 1e-4 relative of the full-budget winner's."""
     d = build_dictionary(64, FIG3_NU_MAX, 64)
     cfg = DesignConfig(t_max=200)
     phi0 = initial_projection(d, 16, cfg)
     runs = [_reference_design(d, cfg, phi0, alpha, stop_rule=False) for alpha in projection_design.DEFAULT_ALPHAS]
-    winner = min(runs, key=lambda r: r[0][r[4]])  # min keeps the earliest of a tie
+    full = min(runs, key=lambda r: r[0][r[4]])  # min keeps the earliest of a tie
+    assert full is runs[projection_design.DEFAULT_ALPHAS.index(3.0)]
     swept = design_with_alpha_sweep(d, cfg, phi0)
-    assert np.array_equal(swept.final_phi.phi, winner[3])
-    assert swept.stop_iter == swept.best_iter == cfg.t_max
+    assert np.array_equal(swept.final_phi.phi, design(d, cfg, phi0, alpha=3.0).final_phi.phi)
+    assert swept.stop_iter < cfg.t_max
+    assert swept.final_coherence == pytest.approx(full[0][full[4]], rel=1e-4)
+
+
+def test_stall_rule_stops_the_converged_p128_winner_early(tmp_path):
+    """On the full circle at P = 128 from the SVD start, alpha = 3 (the
+    sweep's winner there) has its mu settled to 10 digits by iterate 62:
+    the stall rule stops it before iterate 100 with the mu of the run that
+    spends all 200 updates, to 9 digits. Every singular value of this A_ring
+    is the same, so the SVD start is one basis among many, and the one
+    LAPACK returns changes with the BLAS thread count; the start is taken
+    in a one-thread process."""
+    start = tmp_path / "phi0.npy"
+    code = (
+        "import sys, numpy as np; from gomp.array_model import build_dictionary; "
+        "from gomp.projection_design import DesignConfig, initial_projection; "
+        "d = build_dictionary(128, 2 * np.pi, 64); "
+        "np.save(sys.argv[1], initial_projection(d, 16, DesignConfig()).phi)"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code, str(start)], env=env, check=True, timeout=120)
+    d = build_dictionary(128, 2 * np.pi, 64)
+    cfg = DesignConfig(t_max=200)
+    phi0 = ProjectionMatrix(phi=np.load(start))
+    trace = design(d, cfg, phi0, alpha=3.0)
+    mus, _, _, _, best_iter, stop = _reference_design(d, cfg, phi0, 3.0, stop_rule=False)
+    assert stop == cfg.t_max and trace.stop_iter < 100
+    assert trace.final_coherence == pytest.approx(mus[best_iter], rel=1e-9)
 
 
 def _count_column_norms(monkeypatch):
