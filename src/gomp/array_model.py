@@ -149,12 +149,12 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Projected snapshot matrix Y (N-by-L), read-only."""
+    """Projected snapshot matrix Y (N-by-L), read-only, checked by as_matrix."""
 
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=complex))
+        Y = as_matrix(self.Y, "Y", ("row", "column"))
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import Dictionary, as_matrix, check_finite
+from .array_model import Dictionary, as_matrix
 
 _CM_TOL = 1e-9
 
@@ -43,15 +43,15 @@ class ProjectionMatrix:
     """N-by-M analog combiner with unit-modulus (phase-only) entries.
 
     np.asarray(projection) gives the matrix, so every function that takes a
-    projection also takes a plain complex array. A non-finite entry is
-    named with its index, before the unit-modulus test.
+    projection also takes a plain complex array. As as_matrix does, it
+    rejects an input that is not 2-D and names a non-finite entry with its
+    index, before the unit-modulus test.
     """
 
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=complex))
-        check_finite(phi, "Phi")
+        phi = as_matrix(self.phi, "Phi")
         if not np.max(np.abs(np.abs(phi) - 1.0)) <= _CM_TOL:
             raise ValueError("every projection entry must have unit modulus")
         phi.setflags(write=False)

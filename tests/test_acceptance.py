@@ -50,10 +50,11 @@ from gomp.projection_design import (
 
 from acceptance_configs import (
     COHERENCE_GRIDS,
-    coherence_ordering,
+    coherence_verdict,
     fig3_config,
+    fig3_verdict,
     floor_cases,
-    floor_ratio,
+    floor_verdict,
     svd_start_coherence,
 )
 
@@ -142,18 +143,13 @@ def test_criterion_3_coherence_ordering():
     start = time.monotonic()
     lines = []
     for p in COHERENCE_GRIDS:
-        med = coherence_ordering(p, range(10))
+        verdict = coherence_verdict(p, range(10))
+        med = verdict["medians"]
         svd_design, svd_noshrink = svd_start_coherence(p)
-        med_design, med_noshrink, med_rand, dft_mu = med["designed"], med["no_shrink"], med["random"], med["dft"]
-        lines.append(f"P={p}: designed={med_design:.4f} no-shrink={med_noshrink:.4f} "
-                     f"random={med_rand:.4f} dft={dft_mu:.4f} "
+        lines.append(f"P={p}: designed={med['designed']:.4f} no-shrink={med['no_shrink']:.4f} "
+                     f"random={med['random']:.4f} dft={med['dft']:.4f} "
                      f"svd-start designed={svd_design:.4f} no-shrink={svd_noshrink:.4f}")
-        assert med_design < med_rand, lines[-1]
-        assert med_design < dft_mu, lines[-1]
-        assert med_design < med_noshrink, lines[-1]
-        assert svd_design < med_rand, lines[-1]
-        assert svd_design < dft_mu, lines[-1]
-        assert svd_design < svd_noshrink, lines[-1]
+        assert verdict["passed"], f"{lines[-1]}: gaps {verdict['gaps']}"
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"runtime {elapsed:.1f} s exceeds 5 min"
     print(f"\nACCEPTANCE 3 coherence ordering: PASS ({'; '.join(lines)}, {elapsed:.1f} s)")
@@ -263,12 +259,10 @@ def test_criterion_7_sampling_error_floor():
     cannot outscore a weak source."""
     summary = []
     for k, cfg in floor_cases():
-        result = run_mse_sweep(cfg)
-        row = result.rows[0]
-        assert row.failed_trials == 0
-        ratio = floor_ratio(cfg, row.mse_ongrid)
-        summary.append(f"K={k}: ratio={ratio:.3f} over {row.trials_ok} trials")
-        assert 0.8 <= ratio <= 1.2, f"K={k}: mse_ongrid/floor = {ratio:.3f}"
+        row = run_mse_sweep(cfg).rows[0]
+        verdict = floor_verdict(cfg, row)
+        summary.append(f"K={k}: ratio={verdict['ratio']:.3f} over {row.trials_ok} trials")
+        assert verdict["passed"], f"K={k}: {verdict}"
     print(f"\nACCEPTANCE 7 sampling-error floor: PASS ({'; '.join(summary)})")
 
 
@@ -278,22 +272,13 @@ def test_criterion_8_fig3_qualitative_reproduction():
     non-increasing in SNR up to one inversion."""
     start = time.monotonic()
     cfg = fig3_config()
-    result = run_mse_sweep(cfg)
-    rows = sorted(result.rows, key=lambda r: r.snr_db)
-    ongrid = np.array([r.mse_ongrid for r in rows])
-    refined = np.array([r.mse_refined for r in rows])
+    rows = sorted(run_mse_sweep(cfg).rows, key=lambda r: r.snr_db)
     curve = "; ".join(
         f"{r.snr_db:.0f}dB: ongrid={r.mse_ongrid:.3e} refined={r.mse_refined:.3e}"
         for r in rows
     )
-    for r in rows:
-        assert r.trials_ok + r.failed_trials == cfg.trials
-        if r.snr_db >= 10.0:
-            assert r.mse_refined < r.mse_ongrid, (
-                f"refined not below on-grid at {r.snr_db} dB: {curve}"
-            )
-    assert int(np.sum(np.diff(ongrid) > 0)) <= 1, f"on-grid curve not decreasing: {curve}"
-    assert int(np.sum(np.diff(refined) > 0)) <= 1, f"refined curve not decreasing: {curve}"
+    verdict = fig3_verdict(cfg, rows)
+    assert verdict["passed"], f"{verdict}: {curve}"
     elapsed = time.monotonic() - start
     assert elapsed < 900.0, f"runtime {elapsed:.1f} s exceeds 15 min"
     print(f"\nACCEPTANCE 8 MSE-vs-SNR reproduction: PASS ({curve}; {elapsed:.1f} s)")

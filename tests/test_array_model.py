@@ -10,6 +10,7 @@ import pytest
 
 from gomp.array_model import (
     Dictionary,
+    MeasurementSet,
     SourceScene,
     UlaConfig,
     build_dictionary,
@@ -248,6 +249,20 @@ def test_synthesis_names_a_non_finite_projection_entry(bad, snr_db):
     phi[2, 7] = bad
     with pytest.raises(ValueError, match=r"Phi has non-finite entry .* at \(2, 7\)"):
         synthesize_measurements(_small_scene(), phi, UlaConfig(M=16), snr_db, seed=5)
+
+
+def test_measurement_set_rejects_a_y_that_is_not_2d():
+    """A Y of shape (N,) is not read as one row."""
+    with pytest.raises(ValueError, match=r"Y must be a 2-D array, got shape \(4,\)"):
+        MeasurementSet(Y=np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measurement_set_names_a_non_finite_entry(bad):
+    y = np.ones((3, 4), dtype=complex)
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match=r"Y has non-finite entry .* at \(row 1, column 2\)"):
+        MeasurementSet(Y=y)
 
 
 def test_synthesis_snr_monte_carlo():

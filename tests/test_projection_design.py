@@ -386,6 +386,23 @@ def test_projection_matrix_rejects_non_cm():
             ProjectionMatrix(phi=[[bad, 1], [1, 1j]])
 
 
+def test_projection_matrix_rejects_a_phi_that_is_not_2d():
+    """A phi of shape (M,) is not read as a 1-by-M combiner."""
+    with pytest.raises(ValueError, match=r"Phi must be a 2-D array, got shape \(8,\)"):
+        ProjectionMatrix(phi=np.ones(8))
+
+
+def test_design_rejects_a_start_that_is_not_2d_before_iterating(monkeypatch):
+    """A 1-D start fails in design's gate, before the first Gram state of
+    what would be an N = 1 design."""
+    def no_iteration(*args):
+        raise AssertionError("design iterated on a 1-D start")
+
+    monkeypatch.setattr(projection_design, "_gram_state", no_iteration)
+    with pytest.raises(ValueError, match=r"Phi must be a 2-D array, got shape \(8,\)"):
+        design(build_dictionary(16, 2 * np.pi, 8), DesignConfig(t_max=5), np.ones(8))
+
+
 @pytest.mark.parametrize("init", ["svd", "random"])
 @pytest.mark.parametrize("n", [0, 9])
 def test_initial_projection_checks_n_for_either_start(init, n):

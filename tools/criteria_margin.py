@@ -2,23 +2,25 @@
 the tests do not use.
 
 tests/test_acceptance.py gates each statistical criterion at one frozen
-seed set. This tool runs the same configurations (tests/acceptance_configs.py)
-at k other seeds and writes, per criterion, the pass rate and the closest
-margin, as JSON:
+seed set. This tool runs the same configurations at k other seeds, judges
+each run with the verdict function the test asserts (fig3_verdict,
+coherence_verdict, floor_verdict in tests/acceptance_configs.py, which
+hold every bound), and writes, per criterion, the pass rate, each seed's
+verdict and the closest margin over the seeds, as JSON:
 
 - criterion 8, the Fig.-3 sweep at seed 1000 + j: the rises of each MSE
-  curve (at most one passes) and the smallest on-grid/refined MSE ratio at
-  10 dB and above (above 1 passes);
+  curve and the smallest on-grid/refined MSE ratio at 10 dB and above;
 - criterion 3, N=16, M=64 on the full circle at P=64 and 128, with the 10
   random starts and random baselines 1000 + 10 j ... 1009 + 10 j: the gap
-  from the designed median mu to each baseline's median, and from the
-  SVD-start design (which no seed moves) to each baseline (above 0 passes);
+  from the designed median mu, and from the SVD-start design (which no
+  seed moves), to each baseline;
 - criterion 7, the K=1 and K=5 noiseless sweeps at seed 1000 + j: the
-  on-grid MSE over the quantization floor (within [0.8, 1.2] passes) and
-  its distance to the nearer end.
+  on-grid MSE over the quantization floor and its distance to the nearer
+  end of the band.
 
-It reads and never gates: it exits 0 whatever the margins are, and no
-test runs it. gomp is imported as installed or from PYTHONPATH:
+A NaN measurement fails its seed and is the closest margin. The tool
+reads and never gates: it exits 0 whatever the margins are. gomp is
+imported as installed or from PYTHONPATH:
 
     PYTHONPATH=src python3 tools/criteria_margin.py --seeds 5 --out margins.json
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -38,10 +41,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from acceptance_configs import (  # noqa: E402
     COHERENCE_GRIDS,
-    coherence_ordering,
+    coherence_verdict,
     fig3_config,
+    fig3_verdict,
     floor_cases,
-    floor_ratio,
+    floor_verdict,
     svd_start_coherence,
 )
 from gomp.bench import run_mse_sweep  # noqa: E402
@@ -49,87 +53,53 @@ from gomp.bench import run_mse_sweep  # noqa: E402
 SEED_BASE = 1000
 
 
+def _least(items, key=float):
+    """min(items, key=key), except that an item whose key is NaN is the
+    least: min() keeps a NaN only when it comes first."""
+    return min(items, key=lambda x: (not math.isnan(key(x)), key(x)))
+
+
+def _pop_passed(verdicts) -> bool:
+    """Remove 'passed' from each verdict; whether all of them passed."""
+    return all([v.pop("passed") for v in verdicts])
+
+
+def _report(per_seed: list[dict], closest: dict, **extra) -> dict:
+    return {"pass_rate": f"{sum(s['passed'] for s in per_seed)}/{len(per_seed)}", "closest": closest,
+            **extra, "per_seed": per_seed}
+
+
 def criterion_8(seeds: list[int]) -> dict:
-    per_seed = []
-    for seed in seeds:
-        cfg = fig3_config(seed)
-        rows = sorted(run_mse_sweep(cfg).rows, key=lambda r: r.snr_db)
-        ongrid = np.array([r.mse_ongrid for r in rows])
-        refined = np.array([r.mse_refined for r in rows])
-        high = [r.mse_ongrid / r.mse_refined for r in rows if r.snr_db >= 10.0]
-        rises = {"ongrid": int(np.sum(np.diff(ongrid) > 0)), "refined": int(np.sum(np.diff(refined) > 0))}
-        complete = all(r.trials_ok + r.failed_trials == cfg.trials for r in rows)
-        per_seed.append({
-            "seed": seed,
-            "rises": rises,
-            "min_ongrid_over_refined_at_10db_up": min(high),
-            "passed": complete and max(rises.values()) <= 1 and min(high) > 1.0,
-        })
-    return {
-        "pass_rate": f"{sum(s['passed'] for s in per_seed)}/{len(per_seed)}",
-        "closest": {
-            "max_rises": max(max(s["rises"].values()) for s in per_seed),
-            "min_ongrid_over_refined_at_10db_up": min(s["min_ongrid_over_refined_at_10db_up"] for s in per_seed),
-        },
-        "per_seed": per_seed,
-    }
+    cfgs = {seed: fig3_config(seed) for seed in seeds}
+    per_seed = [{"seed": seed, **fig3_verdict(cfg, run_mse_sweep(cfg).rows)} for seed, cfg in cfgs.items()]
+    return _report(per_seed, {
+        "max_rises": max(max(s["rises"].values()) for s in per_seed),
+        "min_ongrid_over_refined_at_10db_up": _least(s["min_ongrid_over_refined_at_10db_up"] for s in per_seed),
+    })
 
 
 def criterion_3(seeds: list[int]) -> dict:
-    svd = {p: svd_start_coherence(p) for p in COHERENCE_GRIDS}
     per_seed = []
     for j in range(len(seeds)):
         block = range(SEED_BASE + 10 * j, SEED_BASE + 10 * j + 10)
-        grids = {}
-        for p in COHERENCE_GRIDS:
-            med = coherence_ordering(p, block)
-            svd_design, svd_noshrink = svd[p]
-            gaps = {
-                "random": med["random"] - med["designed"],
-                "dft": med["dft"] - med["designed"],
-                "no_shrink": med["no_shrink"] - med["designed"],
-                "svd_start_random": med["random"] - svd_design,
-                "svd_start_dft": med["dft"] - svd_design,
-                "svd_start_no_shrink": svd_noshrink - svd_design,
-            }
-            grids[f"P={p}"] = {"medians": med, "gaps": gaps}
-        per_seed.append({
-            "seeds": [block.start, block.stop - 1],
-            **grids,
-            "passed": all(g > 0 for grid in grids.values() for g in grid["gaps"].values()),
-        })
-    closest = {
-        f"P={p}": {k: min(s[f"P={p}"]["gaps"][k] for s in per_seed) for k in per_seed[0][f"P={p}"]["gaps"]}
-        for p in COHERENCE_GRIDS
-    }
-    return {
-        "pass_rate": f"{sum(s['passed'] for s in per_seed)}/{len(per_seed)}",
-        "closest": closest,
-        "svd_start": {f"P={p}": {"designed": d, "no_shrink": n} for p, (d, n) in svd.items()},
-        "per_seed": per_seed,
-    }
+        grids = {f"P={p}": coherence_verdict(p, block) for p in COHERENCE_GRIDS}
+        passed = _pop_passed(grids.values())
+        per_seed.append({"seeds": [block.start, block.stop - 1], **grids, "passed": passed})
+    names = {p: f"P={p}" for p in COHERENCE_GRIDS}
+    closest = {n: {k: _least(s[n]["gaps"][k] for s in per_seed) for k in per_seed[0][n]["gaps"]}
+               for n in names.values()}
+    svd = {n: dict(zip(("designed", "no_shrink"), svd_start_coherence(p))) for p, n in names.items()}
+    return _report(per_seed, closest, svd_start=svd)
 
 
 def criterion_7(seeds: list[int]) -> dict:
     per_seed = []
     for seed in seeds:
-        cases = {}
-        for k, cfg in floor_cases(seed, seed):
-            row = run_mse_sweep(cfg).rows[0]
-            ratio = floor_ratio(cfg, row.mse_ongrid)
-            cases[f"K={k}"] = {"ratio": ratio, "margin": min(ratio - 0.8, 1.2 - ratio),
-                               "failed_trials": row.failed_trials}
-        per_seed.append({
-            "seed": seed,
-            **cases,
-            "passed": all(c["margin"] >= 0 and c["failed_trials"] == 0 for c in cases.values()),
-        })
+        cases = {f"K={k}": floor_verdict(cfg, run_mse_sweep(cfg).rows[0]) for k, cfg in floor_cases(seed, seed)}
+        passed = _pop_passed(cases.values())
+        per_seed.append({"seed": seed, **cases, "passed": passed})
     keys = [k for k in per_seed[0] if k.startswith("K=")]
-    return {
-        "pass_rate": f"{sum(s['passed'] for s in per_seed)}/{len(per_seed)}",
-        "closest": {k: min((s[k] for s in per_seed), key=lambda c: c["margin"]) for k in keys},
-        "per_seed": per_seed,
-    }
+    return _report(per_seed, {k: _least((s[k] for s in per_seed), key=lambda c: c["margin"]) for k in keys})
 
 
 def main(argv=None) -> None:
