@@ -215,13 +215,11 @@ def draw_scene(cfg: SweepConfig, trial_seed: int) -> SourceScene:
             f"cannot place K={cfg.K} sources with separation {sep:.4g} inside [0, {bound:.4g}]"
         )
     rng = np.random.default_rng(trial_seed)
-    nu = None
     for _ in range(10000):
-        cand = np.sort(rng.uniform(0.0, bound, cfg.K))
-        if cfg.K == 1 or float(np.min(np.diff(cand))) >= sep:
-            nu = cand
+        nu = np.sort(rng.uniform(0.0, bound, cfg.K))
+        if cfg.K == 1 or float(np.min(np.diff(nu))) >= sep:
             break
-    if nu is None:
+    else:
         raise ValueError("separation constraint not satisfied after 10000 redraws")
     x = (rng.standard_normal((cfg.K, cfg.L)) + 1j * rng.standard_normal((cfg.K, cfg.L))) / np.sqrt(2.0)
     return SourceScene(nu=nu, X=x)
@@ -299,8 +297,9 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
     all trials, and so are its sensing matrix and that matrix's column
     norms. Each trial draws a scene, synthesizes measurements at the
     target SNR, runs the estimator, and scores both the OMP grid
-    frequencies and the refined frequencies against the truth. Trials whose estimator fails are counted, not
-    silently dropped; averages use the successful trials only.
+    frequencies and the refined frequencies against the truth. A trial
+    whose estimator fails leaves no score: each row averages the scores of
+    the other trials (NaN if none) and counts trials - len(scores) failures.
     """
     dictionary = build_dictionary(cfg.P, cfg.nu_max, cfg.M)
     phi, _ = build_projection(cfg.projection_kind, dictionary, cfg)
@@ -309,11 +308,7 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
     ula = UlaConfig(M=cfg.M)
     rows = []
     for snr_index, snr_db in enumerate(cfg.snr_grid_db):
-        sum_ongrid = 0.0
-        sum_refined = 0.0
-        sum_runtime = 0.0
-        ok = 0
-        failed = 0
+        scores = []  # (on-grid error, refined error, runtime) per trial that did not fail
         for trial in range(cfg.trials):
             # scenes are shared across SNR points (common random numbers) so
             # per-SNR averages differ only through the noise; noise draws are
@@ -326,24 +321,12 @@ def run_mse_sweep(cfg: SweepConfig) -> SweepResult:
             try:
                 result = estimate(meas.Y, phi, dictionary, cfg.K, cfg.max_steps, sensing)
             except (ValueError, np.linalg.LinAlgError):
-                failed += 1
                 continue
-            sum_runtime += time.perf_counter() - start
+            runtime = time.perf_counter() - start
             nu0 = dictionary.grid[result.initial_grid_indices]
-            sum_ongrid += mse_frequencies(scene.nu, nu0)
-            sum_refined += mse_frequencies(scene.nu, result.nu_hat)
-            ok += 1
-        rows.append(
-            SweepRow(
-                method=cfg.projection_kind,
-                snr_db=float(snr_db),
-                mse_ongrid=sum_ongrid / ok if ok else float("nan"),
-                mse_refined=sum_refined / ok if ok else float("nan"),
-                mean_runtime_s=sum_runtime / ok if ok else float("nan"),
-                trials_ok=ok,
-                failed_trials=failed,
-            )
-        )
+            scores.append((mse_frequencies(scene.nu, nu0), mse_frequencies(scene.nu, result.nu_hat), runtime))
+        means = [sum(column) / len(scores) for column in zip(*scores)] if scores else [math.nan] * 3
+        rows.append(SweepRow(cfg.projection_kind, float(snr_db), *means, len(scores), cfg.trials - len(scores)))
     return SweepResult(rows=tuple(rows))
 
 

@@ -128,7 +128,7 @@ def mutual_coherence(psi) -> float:
     """
     mat = as_matrix(psi, "Psi")
     if mat.shape[1] < 2:
-        raise ValueError("mutual coherence needs a matrix with at least two columns")
+        raise ValueError(f"Psi needs at least two columns for a mutual coherence, got shape {mat.shape}")
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for a zero column")
@@ -271,7 +271,7 @@ def cm_project(z: np.ndarray) -> np.ndarray:
 def dft_projection(n: int, m: int) -> ProjectionMatrix:
     """N rows of the M-point DFT matrix taken at stride M / N."""
     if n < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
+        raise ValueError(f"dimensions must be positive, got N={n}, M={m}")
     if m % n != 0:
         raise ValueError(f"M must be divisible by N, got N={n}, M={m}")
     stride = m // n
@@ -421,12 +421,9 @@ def design_with_alpha_sweep(
 ) -> DesignTrace:
     """Run the designer for each shrinkage relaxation candidate and keep the
     trace reaching the lowest coherence. Candidates run independently from
-    the same start, so ties resolve to the earlier candidate."""
+    the same start; min keeps the first of equal minima, so ties resolve to
+    the earlier candidate."""
     if not alphas:
         raise ValueError("need at least one alpha candidate")
-    best: DesignTrace | None = None
-    for alpha in alphas:
-        trace = design(dictionary, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm)
-        if best is None or trace.final_coherence < best.final_coherence:
-            best = trace
-    return best
+    traces = [design(dictionary, cfg, phi0, alpha=alpha, embed_unit_norm=embed_unit_norm) for alpha in alphas]
+    return min(traces, key=lambda trace: trace.final_coherence)

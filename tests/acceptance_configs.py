@@ -114,6 +114,7 @@ def fig3_verdict(cfg: SweepConfig, rows) -> dict:
     """Criterion 8 on the Fig.-3 sweep's rows: the rises of each MSE curve
     over increasing SNR, the smallest on-grid/refined MSE ratio at 10 dB and
     above (NaN if one of those MSEs is), and passed: every trial is counted,
+    every row's MSEs are finite (a row whose trials all failed reads NaN),
     refined MSE is below on-grid MSE at each SNR >= 10 dB, and each curve
     rises at most once."""
     rows = sorted(rows, key=lambda r: r.snr_db)
@@ -125,5 +126,6 @@ def fig3_verdict(cfg: SweepConfig, rows) -> dict:
         "rises": rises,
         "min_ongrid_over_refined_at_10db_up": float(np.min(ongrid[at_10db_up] / refined[at_10db_up])),
         "passed": (all(r.trials_ok + r.failed_trials == cfg.trials for r in rows)
+                   and bool(np.isfinite([ongrid, refined]).all())
                    and bool(np.all(refined[at_10db_up] < ongrid[at_10db_up])) and max(rises.values()) <= 1),
     }

@@ -175,6 +175,18 @@ def test_source_scene_validation():
             SourceScene(nu=[0.5, 1.0], X=x)
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: SourceScene(nu=[], X=np.ones((0, 3))), "nu must be a non-empty vector", id="scene-empty-nu"),
+    pytest.param(lambda: SourceScene(nu=[0.5], X=np.ones((1, 0))), "X must have at least one time sample",
+                 id="scene-no-samples"),
+    pytest.param(lambda: build_dictionary(0, 2 * np.pi, 4), "grid size must be >= 1, got 0", id="dictionary-p"),
+    pytest.param(lambda: build_dictionary(8, 0.0, 4), "nu_max must be positive, got 0.0", id="dictionary-nu-max"),
+])
+def test_rejected_input_is_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # -------------------------------------------------------- noise calibration
 
 def test_noise_scale_trivial_cases():

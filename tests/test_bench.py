@@ -244,6 +244,37 @@ def test_load_config_invalid_json(tmp_path):
         load_config(path)
 
 
+def _file(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda tmp: _cfg(seed=-1), ValueError, r"seed >= 0 violated \(seed=-1\)", id="config-seed"),
+    pytest.param(lambda tmp: _cfg(projection_kind="pca"), ValueError, "projection_kind must be one of .*, got 'pca'",
+                 id="config-projection-kind"),
+    pytest.param(lambda tmp: _cfg(methods=("dft", "pca")), ValueError, "methods entry 'pca'", id="config-methods"),
+    pytest.param(lambda tmp: _cfg(snr_grid_db=()), ValueError, "snr_grid_db must not be empty", id="config-snr-grid"),
+    # a separation of the whole span is feasible for K=2 only with the two
+    # sources at its ends, which a uniform draw never gives
+    pytest.param(lambda tmp: draw_scene(_cfg(K=2, min_separation=2 * np.pi), 0), ValueError,
+                 "separation constraint not satisfied after 10000 redraws", id="scene-redraws"),
+    pytest.param(lambda tmp: read_measurements_csv(tmp / "absent.csv"), OSError,
+                 "cannot read measurements from .*absent.csv", id="measurements-missing"),
+    pytest.param(lambda tmp: read_measurements_csv(_file(tmp / "empty.csv", "\n\n")), ValueError,
+                 "empty.csv: empty measurement file", id="measurements-empty"),
+    pytest.param(lambda tmp: read_measurements_csv(_file(tmp / "short.csv", "2,2\n1,2\n")), ValueError,
+                 "short.csv: expected 2 data rows, found 1", id="measurements-row-count"),
+    pytest.param(lambda tmp: load_config(tmp / "absent.json"), OSError, "cannot read config from .*absent.json",
+                 id="config-file-missing"),
+    pytest.param(lambda tmp: load_config(_file(tmp / "list.json", "[1, 2]")), ValueError,
+                 "list.json: config must be a JSON object", id="config-file-not-object"),
+])
+def test_rejected_input_is_named(tmp_path, make, error, message):
+    with pytest.raises(error, match=message):
+        make(tmp_path)
+
+
 # ------------------------------------------------------------------ emit_csv
 
 def test_emit_csv_empty_result_header_only(tmp_path):
@@ -400,8 +431,45 @@ def test_coherence_experiment_designed_best_so_far():
     assert mus[-1] <= mus[0] + 1e-15
 
 
-def test_mse_sweep_counts_sum_to_trials():
+def test_mse_sweep_counts_sum_to_trials(monkeypatch, tmp_path):
+    """Every trial is counted. A trial whose estimate raises ValueError or
+    LinAlgError fails; the row's means are over the other trials, and an
+    SNR point at which every trial fails reads nan in the CSV."""
     cfg = _cfg(trials=4, snr_grid_db=(0.0, 10.0))
-    result = run_mse_sweep(cfg)
-    for row in result.rows:
+    for row in run_mse_sweep(cfg).rows:
         assert row.trials_ok + row.failed_trials == 4
+
+    # the sweep runs its SNR points in turn, each trial drawing its scene and
+    # then estimating: calls 1 and 3 fail at 0 dB, and all four at 10 dB
+    errors = {1: ValueError, 3: np.linalg.LinAlgError, 4: ValueError, 5: ValueError,
+              6: np.linalg.LinAlgError, 7: ValueError}
+    scenes, results = [], []
+    real_draw, real_estimate = bench.draw_scene, bench.estimate
+
+    def draw(*args):
+        scenes.append(real_draw(*args))
+        return scenes[-1]
+
+    def flaky(*args):
+        k = len(results)
+        results.append(None if k in errors else real_estimate(*args))
+        if k in errors:
+            raise errors[k](f"call {k} fails")
+        return results[-1]
+
+    monkeypatch.setattr(bench, "draw_scene", draw)
+    monkeypatch.setattr(bench, "estimate", flaky)
+    result = run_mse_sweep(cfg)
+    assert len(results) == len(scenes) == 8
+    assert [(r.trials_ok, r.failed_trials) for r in result.rows] == [(2, 2), (0, 4)]
+
+    grid = bench.build_dictionary(cfg.P, cfg.nu_max, cfg.M).grid
+    ongrid = [mse_frequencies(scenes[k].nu, grid[results[k].initial_grid_indices]) for k in (0, 2)]
+    refined = [mse_frequencies(scenes[k].nu, results[k].nu_hat) for k in (0, 2)]
+    assert result.rows[0].mse_ongrid == pytest.approx(np.mean(ongrid), rel=1e-15)
+    assert result.rows[0].mse_refined == pytest.approx(np.mean(refined), rel=1e-15)
+    assert math.isnan(result.rows[1].mse_ongrid) and math.isnan(result.rows[1].mse_refined)
+
+    path = tmp_path / "sweep.csv"
+    emit_csv(result, path)
+    assert path.read_text().splitlines()[2] == "designed,10,nan,nan,0,4"

@@ -172,6 +172,18 @@ def test_unknown_config_key_named(tmp_path, capsys):
     assert "trails" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    pytest.param("K", "override 'K' must look like key=value", id="set-no-equals"),
+    pytest.param(" =3", "override ' =3' has an empty key", id="set-empty-key"),
+])
+def test_rejected_input_is_named(tmp_path, capsys, override, message):
+    cfg = _write_cfg(tmp_path)
+    rc = cli(["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "x.csv"), "--set", override])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_required_out_fails(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert cli(["sweep", "--config", cfg, "--seed", "1"]) == 1

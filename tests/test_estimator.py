@@ -139,6 +139,19 @@ def test_omp_rejects_bad_k():
         omp(y, psi, 17, col_norms)
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: omp(np.ones((3, 2)), np.ones((4, 8)), 1, np.full(8, 2.0)),
+                 "measurements have 3 rows but sensing matrix has 4", id="omp-rows"),
+    pytest.param(lambda: omp(np.ones((4, 2)), np.eye(4)[:, :2], 3, np.ones(2)),
+                 "cannot select K=3 columns from P=2", id="omp-k-above-p"),
+    pytest.param(lambda: refine_multi(np.ones((4, 2)), np.ones((4, 8)), [0.1, 0.2], np.ones((1, 2)), 10),
+                 "X0 has 1 rows but nu0 has 2 entries", id="refine-x0-rows"),
+])
+def test_rejected_input_is_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_omp_rejects_non_finite_measurements():
     phi, d = _designed_phi(16, 64, 64)
     y = np.ones((16, 4), dtype=complex)

@@ -431,6 +431,29 @@ def test_design_trace_rejects_nan_coherence(mu):
 
 # ------------------------------------------------------------------- design
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: DesignConfig(t_max=-1), "t_max must be nonnegative, got -1", id="config-t-max"),
+    pytest.param(lambda: DesignConfig(init="pca"), "init must be 'svd' or 'random', got 'pca'", id="config-init"),
+    pytest.param(lambda: mutual_coherence(np.ones((3, 1))), r"Psi needs at least two columns .*, got shape \(3, 1\)",
+                 id="coherence-one-column"),
+    pytest.param(lambda: welch_bound(0, 4), "need N >= 1 and P >= 2, got N=0, P=4", id="welch-n"),
+    pytest.param(lambda: welch_bound(1, 1), "need N >= 1 and P >= 2, got N=1, P=1", id="welch-p"),
+    pytest.param(lambda: gram_error(np.ones((2, 3)), np.ones(2)), r"normalizer has shape \(2,\) but Q has 3 columns",
+                 id="gram-normalizer"),
+    pytest.param(lambda: shrink_error(np.ones((2, 2)), 0.5, 0.1), "alpha >= 1 required, got 0.5", id="shrink-alpha"),
+    pytest.param(lambda: shrink_error(np.ones((2, 2)), 1.0, -0.1), "beta must be nonnegative, got -0.1",
+                 id="shrink-beta"),
+    pytest.param(lambda: dft_projection(0, 4), "dimensions must be positive, got N=0, M=4", id="dft-n"),
+    pytest.param(lambda: dft_projection(2, -2), "dimensions must be positive, got N=2, M=-2", id="dft-m"),
+    pytest.param(lambda: design_with_alpha_sweep(build_dictionary(8, 2 * np.pi, 4), DesignConfig(t_max=1),
+                                                 random_cm_projection(2, 4, 0), alphas=()),
+                 "need at least one alpha candidate", id="alpha-sweep-empty"),
+])
+def test_rejected_input_is_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_design_zero_iterations_returns_start():
     d = build_dictionary(16, 2 * np.pi, 8)
     phi0 = random_cm_projection(4, 8, seed=3)
@@ -788,6 +811,13 @@ def test_alpha_sweep_not_worse_than_single_alpha():
     best = design_with_alpha_sweep(d, cfg, phi0, alphas=(1.0, 2.0))
     single = design(d, cfg, phi0)  # alpha = 1.0
     assert best.final_coherence <= single.final_coherence + 1e-15
+
+
+def test_alpha_sweep_keeps_the_first_of_equal_minima(monkeypatch):
+    mus = {1.0: 0.5, 2.0: 0.4, 3.0: 0.4, 5.0: 0.6}
+    monkeypatch.setattr(projection_design, "design", lambda d, cfg, phi0, alpha, embed_unit_norm:
+                        types.SimpleNamespace(alpha=alpha, final_coherence=mus[alpha]))
+    assert design_with_alpha_sweep(None, None, None, alphas=tuple(mus)).alpha == 2.0
 
 
 def test_svd_initializer_is_cm_and_deterministic():

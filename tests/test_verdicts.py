@@ -30,11 +30,12 @@ def _rows(ongrid=ONGRID, refined=REFINED, trials_ok=(200,) * 5, failed=(0,) * 5)
             for snr, on, re, ok, f in zip(SNRS, ongrid, refined, trials_ok, failed)]
 
 
-def _all_failed_at_15db():
-    """Every trial at 15 dB failed, so that row's MSEs are NaN."""
-    nan = math.nan
-    return _rows(ongrid=(0.2, 0.06, 0.009, nan, 0.004), refined=(0.21, 0.058, 0.008, nan, 0.003),
-                 trials_ok=(200, 200, 200, 0, 200), failed=(0, 0, 0, 200, 0))
+def _all_failed_at(snr_db=15.0):
+    """Every trial at snr_db failed, so that row's MSEs are NaN."""
+    failed = [snr == snr_db for snr in SNRS]
+    return _rows(ongrid=[math.nan if f else v for f, v in zip(failed, ONGRID)],
+                 refined=[math.nan if f else v for f, v in zip(failed, REFINED)],
+                 trials_ok=[0 if f else 200 for f in failed], failed=[200 if f else 0 for f in failed])
 
 
 # ---------------------------------------------------------------- criterion 8
@@ -63,11 +64,13 @@ def test_fig3_verdict_fails_a_missing_trial():
     assert not fig3_verdict(fig3_config(), _rows(trials_ok=(200, 200, 199, 200, 200)))["passed"]
 
 
-def test_fig3_verdict_fails_an_all_failed_row_and_reports_nan():
-    """min() over the ratios would skip the NaN of the 15 dB row; the margin
-    reads NaN and the verdict fails, as refined < on-grid does at 15 dB."""
-    verdict = fig3_verdict(fig3_config(), _all_failed_at_15db())
-    assert math.isnan(verdict["min_ongrid_over_refined_at_10db_up"])
+@pytest.mark.parametrize("snr_db", [0.0, 5.0, 15.0])
+def test_fig3_verdict_fails_an_all_failed_row_and_reports_nan(snr_db):
+    """An all-failed row fails the verdict at any SNR, though below 10 dB no
+    ratio is read and a NaN counts no rise. From 10 dB the margin reads NaN:
+    min() over the ratios would skip the NaN of the row."""
+    verdict = fig3_verdict(fig3_config(), _all_failed_at(snr_db))
+    assert math.isnan(verdict["min_ongrid_over_refined_at_10db_up"]) == (snr_db >= 10.0)
     assert not verdict["passed"]
 
 
@@ -129,7 +132,7 @@ def test_report_calls_the_verdicts_of_criteria_8_and_7(monkeypatch):
     is the verdict's, and the NaN margin is the closest."""
     def sweep(cfg):
         if cfg.snr_grid_db == SNRS:
-            return SweepResult(rows=tuple(_rows() if cfg.seed == 1000 else _all_failed_at_15db()))
+            return SweepResult(rows=tuple(_rows() if cfg.seed == 1000 else _all_failed_at()))
         floor = cfg.K * (cfg.nu_max / cfg.P) ** 2 / 12.0
         return SweepResult(rows=(_floor_row(floor, failed=int(cfg.seed == 1001 and cfg.K == 5)),))
 
