@@ -32,10 +32,9 @@ def _rows(ongrid=ONGRID, refined=REFINED, trials_ok=(200,) * 5, failed=(0,) * 5)
 
 def _all_failed_at(snr_db=15.0):
     """Every trial at snr_db failed, so that row's MSEs are NaN."""
-    failed = [snr == snr_db for snr in SNRS]
-    return _rows(ongrid=[math.nan if f else v for f, v in zip(failed, ONGRID)],
-                 refined=[math.nan if f else v for f, v in zip(failed, REFINED)],
-                 trials_ok=[0 if f else 200 for f in failed], failed=[200 if f else 0 for f in failed])
+    rows = _rows()
+    rows[SNRS.index(snr_db)] = SweepRow("designed", snr_db, math.nan, math.nan, math.nan, 0, 200)
+    return rows
 
 
 # ---------------------------------------------------------------- criterion 8
