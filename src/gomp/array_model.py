@@ -2,9 +2,9 @@
 
 Steering matrices and their frequency derivatives, grid dictionaries,
 and synthetic multi-snapshot measurement generation with a controlled
-signal-to-noise ratio. All values are immutable after construction and
-every operation is a pure function of its inputs, so everything here is
-safe to share across threads.
+signal-to-noise ratio. Values keep read-only copies of the caller's arrays
+(store_read_only), so they are immutable, and every operation is a pure
+function of its inputs, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ def steering_matrix(nu: np.ndarray, m: int) -> np.ndarray:
     """Array response of an m-sensor ULA (m >= 1) at K finite spatial
     frequencies nu (else ValueError naming the entry), in radians per
     sensor: the m-by-K matrix with entry (i, k) = exp(1j * i * nu[k])."""
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    nu = as_vector(nu, "nu")
     if m < 1:
         raise ValueError(f"sensor count must be >= 1, got {m}")
-    check_finite(nu, "nu")
     return np.exp(1j * (np.arange(m)[:, None] * nu))
 
 
@@ -51,6 +50,26 @@ def as_matrix(x, name: str, axes: tuple[str, ...] = ()) -> np.ndarray:
     mat = as_2d(x, name)
     check_finite(mat, name, axes)
     return mat
+
+
+def as_vector(x, name: str) -> np.ndarray:
+    """x as a 1-D float array of finite entries, a scalar as one entry; raises
+    ValueError naming x and its shape if it has more axes, then as check_finite does."""
+    vec = np.atleast_1d(np.asarray(x, dtype=float))
+    if vec.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {vec.shape}")
+    check_finite(vec, name)
+    return vec
+
+
+def store_read_only(obj, **arrays: np.ndarray) -> None:
+    """Set each array read-only as the field of that name on the frozen dataclass obj,
+    copied first if it may share memory with the value the caller passed for that field."""
+    for name, arr in arrays.items():
+        if np.may_share_memory(arr, getattr(obj, name, None)):
+            arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @lru_cache(maxsize=None)
@@ -92,11 +111,10 @@ class SourceScene:
     X: np.ndarray
 
     def __post_init__(self) -> None:
-        nu = np.atleast_1d(np.asarray(self.nu, dtype=float))
-        X = np.atleast_2d(np.asarray(self.X, dtype=complex))
-        if nu.ndim != 1 or nu.size < 1:
+        nu = as_vector(self.nu, "nu")
+        X = as_2d(self.X, "X")
+        if nu.size < 1:
             raise ValueError("nu must be a non-empty vector")
-        check_finite(nu, "nu")
         if X.shape[0] != nu.size:
             raise ValueError(f"X has {X.shape[0]} rows but nu has {nu.size} entries")
         if X.shape[1] < 1:
@@ -104,10 +122,7 @@ class SourceScene:
         check_finite(X, "X", ("source", "sample"))
         if np.any(np.all(X == 0, axis=1)):
             raise ValueError("every source waveform must be nonzero")
-        nu.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "X", X)
+        store_read_only(self, nu=nu, X=X)
 
     @property
     def L(self) -> int:
@@ -128,14 +143,10 @@ class Dictionary:
     A_ring: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
+        grid = as_vector(self.grid, "grid")
         if grid.size < self.M:
             raise ValueError(f"grid size P={grid.size} must be at least the sensor count M={self.M}")
-        A = steering_matrix(grid, self.M)
-        grid.setflags(write=False)
-        A.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "A_ring", A)
+        store_read_only(self, grid=grid, A_ring=steering_matrix(grid, self.M))
 
     @property
     def P(self) -> int:
@@ -154,9 +165,7 @@ class MeasurementSet:
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        Y = as_matrix(self.Y, "Y", ("row", "column"))
-        Y.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
+        store_read_only(self, Y=as_matrix(self.Y, "Y", ("row", "column")))
 
 
 def build_dictionary(p: int, nu_max: float, m: int) -> Dictionary:

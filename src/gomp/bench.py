@@ -27,6 +27,7 @@ from .array_model import (
     SourceScene,
     UlaConfig,
     as_matrix,
+    as_vector,
     build_dictionary,
     noise_scale_for_snr,
     synthesize_measurements,
@@ -189,10 +190,10 @@ def mse_frequencies(truth: np.ndarray, est: np.ndarray) -> float:
     crossed pairing costs more by 2 (t2 - t1)(e2 - e1) >= 0, so uncrossing
     any crossed pair never raises the cost. This holds for linear distance
     only; a circular distance (frequencies that wrap at 2 pi) needs another
-    rule, since sorting does not respect the wrap-around.
+    rule, since sorting does not respect the wrap-around. Both go through as_vector.
     """
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    est = np.atleast_1d(np.asarray(est, dtype=float))
+    truth = as_vector(truth, "truth")
+    est = as_vector(est, "estimate")
     if truth.shape != est.shape:
         raise ValueError(f"length mismatch: truth has {truth.size}, estimate has {est.size}")
     return float(np.sum((np.sort(truth) - np.sort(est)) ** 2))

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_model import Dictionary, as_2d, as_matrix, check_finite, steering_gradient, steering_matrix
+from .array_model import (Dictionary, as_2d, as_matrix, as_vector, check_finite, steering_gradient,
+                          steering_matrix, store_read_only)
 
 _PINV_RTOL = 1e-12
 # a step whose predicted decrease of ||R||^2 is at most this share of it
@@ -55,15 +56,12 @@ class EstimationResult:
     initial_grid_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        nu = np.atleast_1d(np.asarray(self.nu_hat, dtype=float))
-        x = np.atleast_2d(np.asarray(self.X_hat, dtype=complex))
-        check_finite(nu, "nu_hat")
         if self.stop_reason not in ("converged", "stalled", "max_steps"):
             raise ValueError(f"stop_reason must be 'converged', 'stalled' or 'max_steps', got {self.stop_reason!r}")
-        nu.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "nu_hat", nu)
-        object.__setattr__(self, "X_hat", x)
+        # X_hat may be +-inf by design (estimate's rescaling), so it is not scanned
+        store_read_only(self, nu_hat=as_vector(self.nu_hat, "nu_hat"), X_hat=as_2d(self.X_hat, "X_hat"))
+        if self.initial_grid_indices is not None:
+            store_read_only(self, initial_grid_indices=np.asarray(self.initial_grid_indices))
 
     @property
     def n_iter(self) -> int:
@@ -255,8 +253,8 @@ def refine_multi(
     Raises
     ------
     ValueError
-        If max_steps is below 1, Y or Phi is not 2-D (named with its shape),
-        or Y, Phi or X0 has a non-finite entry (named with its index).
+        If max_steps is below 1, Y, Phi or X0 is not 2-D or nu0 not 1-D (named
+        with its shape), or one of them has a non-finite entry (its index).
     numpy.linalg.LinAlgError
         If the joint system Phi A(nu) is rank-deficient, for example when
         two refined frequencies coincide; omp raises the same for its refit.
@@ -265,11 +263,10 @@ def refine_multi(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     phi_mat = as_matrix(phi, "Phi")
     y = as_matrix(y, "Y", ("row", "column"))
-    nu = np.atleast_1d(np.asarray(nu0_vec, dtype=float)).copy()
-    x = np.atleast_2d(np.asarray(x0, dtype=complex)).copy()
+    nu = as_vector(nu0_vec, "nu0")
+    x = as_matrix(np.atleast_2d(x0) if np.ndim(nu0_vec) == 0 else x0, "X0", ("source", "sample"))
     if x.shape[0] != nu.size:
         raise ValueError(f"X0 has {x.shape[0]} rows but nu0 has {nu.size} entries")
-    check_finite(x, "X0", ("source", "sample"))
     a, w, x, r, cost = _fit(y, phi_mat, nu, x)
     history = [cost]
     stop = "max_steps"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import Dictionary, as_matrix
+from .array_model import Dictionary, as_matrix, store_read_only
 
 _CM_TOL = 1e-9
 
@@ -54,8 +54,7 @@ class ProjectionMatrix:
         phi = as_matrix(self.phi, "Phi")
         if not np.max(np.abs(np.abs(phi) - 1.0)) <= _CM_TOL:
             raise ValueError("every projection entry must have unit modulus")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+        store_read_only(self, phi=phi)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.phi, dtype=dtype, copy=copy)
@@ -115,6 +114,8 @@ class DesignTrace:
         mu = np.asarray(self.coherence_per_iter, dtype=float)
         if not ((0 <= mu) & (mu <= 1)).all():
             raise ValueError("coherence values must lie in [0, 1]")
+        store_read_only(self, coherence_per_iter=mu, objective_per_iter=np.asarray(self.objective_per_iter),
+                        step_per_iter=np.asarray(self.step_per_iter), evals_per_iter=np.asarray(self.evals_per_iter))
 
     @property
     def final_coherence(self) -> float:

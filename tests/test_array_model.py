@@ -5,9 +5,12 @@ the gradient, dictionary grid layout and row orthogonality, SNR calibration
 (closed form and Monte Carlo), and synthesis determinism.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gomp import array_model
 from gomp.array_model import (
     Dictionary,
     MeasurementSet,
@@ -19,7 +22,8 @@ from gomp.array_model import (
     steering_matrix,
     synthesize_measurements,
 )
-from gomp.projection_design import random_cm_projection
+from gomp.estimator import EstimationResult
+from gomp.projection_design import DesignTrace, ProjectionMatrix, random_cm_projection
 
 
 # ---------------------------------------------------------------- steering
@@ -134,9 +138,17 @@ def test_build_dictionary_column_norms():
     assert np.allclose(np.linalg.norm(d.A_ring, axis=0), np.sqrt(32))
 
 
-def test_dictionary_builds_read_only_steering_columns():
+def test_dictionary_builds_read_only_steering_columns(monkeypatch):
     grid = np.array([0.0, 0.4, 1.9, 3.0, 5.5])
+    built = []
+
+    def steering(*args):
+        built.append(steering_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(array_model, "steering_matrix", steering)
     d = Dictionary(grid=grid, M=4)
+    assert d.A_ring is built[0], "the dictionary's own steering columns are stored without a copy"
     assert d.A_ring.tobytes() == steering_matrix(grid, 4).tobytes()
     assert (d.M, d.P) == (4, 5)
     with pytest.raises(ValueError, match="read-only"):
@@ -175,7 +187,55 @@ def test_source_scene_validation():
             SourceScene(nu=[0.5, 1.0], X=x)
 
 
+# each value type, built from the caller's arrays (a dict of field -> array)
+_VALUE_TYPES = {
+    "scene": (SourceScene, {"nu": np.array([0.1, 0.2]), "X": np.ones((2, 3), dtype=complex)}),
+    "dictionary": (lambda **a: Dictionary(M=2, **a), {"grid": np.array([0.0, 1.0, 2.0])}),
+    "measurements": (MeasurementSet, {"Y": np.ones((2, 3), dtype=complex)}),
+    "projection": (ProjectionMatrix, {"phi": np.ones((2, 3), dtype=complex)}),
+    "estimate": (lambda **a: EstimationResult(histories=(np.ones(1),), stop_reason="stalled", **a),
+                 {"nu_hat": np.array([0.1, 0.2]), "X_hat": np.ones((2, 3), dtype=complex),
+                  "initial_grid_indices": np.array([3, 5])}),
+    "design-trace": (lambda **a: DesignTrace(final_phi=ProjectionMatrix(phi=np.ones((1, 2))), best_iter=1,
+                                             stop_iter=1, **a),
+                     {"coherence_per_iter": np.array([0.6, 0.5]), "objective_per_iter": np.array([2.0, 1.0]),
+                      "step_per_iter": np.array([0.05]), "evals_per_iter": np.array([1])}),
+}
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["own-arrays", "slices"])
+@pytest.mark.parametrize("kind", _VALUE_TYPES)
+def test_value_types_keep_read_only_copies_of_the_callers_arrays(kind, sliced):
+    """A value type neither freezes the arrays its caller passed nor aliases
+    them: they stay writeable, a later write to them (or, for a slice, to
+    the larger array it views) leaves the value as built, and every
+    ndarray field of the value is read-only."""
+    make, arrays = _VALUE_TYPES[kind]
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    owners = arrays
+    if sliced:  # each array is the first rows of a larger one
+        owners = {name: np.concatenate([a, a]) for name, a in arrays.items()}
+        arrays = {name: owners[name][:len(a)] for name, a in arrays.items()}
+    value = make(**arrays)
+    built = {f.name: np.array(getattr(value, f.name)) for f in dataclasses.fields(value)
+             if isinstance(getattr(value, f.name), np.ndarray)}
+    assert set(arrays) <= set(built)
+    for name, owner in owners.items():
+        assert owner.flags.writeable and arrays[name].flags.writeable, name
+        owner[...] = 7
+    for name, before in built.items():
+        field = getattr(value, name)
+        assert np.array_equal(field, before), f"{name} changed with the caller's array"
+        assert not field.flags.writeable, f"{name} is writeable"
+
+
 @pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: steering_matrix(np.zeros((1, 3)), 4), r"nu must be a 1-D array, got shape \(1, 3\)",
+                 id="steering-nu-2d"),
+    pytest.param(lambda: Dictionary(grid=np.zeros((2, 8)), M=4), r"grid must be a 1-D array, got shape \(2, 8\)",
+                 id="dictionary-grid-2d"),
+    pytest.param(lambda: SourceScene(nu=0.5, X=np.ones(4)), r"X must be a 2-D array, got shape \(4,\)",
+                 id="scene-x-1d"),
     pytest.param(lambda: SourceScene(nu=[], X=np.ones((0, 3))), "nu must be a non-empty vector", id="scene-empty-nu"),
     pytest.param(lambda: SourceScene(nu=[0.5], X=np.ones((1, 0))), "X must have at least one time sample",
                  id="scene-no-samples"),

@@ -269,6 +269,10 @@ def _file(path, text):
                  id="config-file-missing"),
     pytest.param(lambda tmp: load_config(_file(tmp / "list.json", "[1, 2]")), ValueError,
                  "list.json: config must be a JSON object", id="config-file-not-object"),
+    pytest.param(lambda tmp: mse_frequencies(np.ones((2, 2)), np.ones((2, 2))), ValueError,
+                 r"truth must be a 1-D array, got shape \(2, 2\)", id="mse-2d"),
+    pytest.param(lambda tmp: mse_frequencies([0.1, 0.2], [0.1, np.nan]), ValueError,
+                 r"estimate has non-finite entry nan at \(1\)", id="mse-nan"),
 ])
 def test_rejected_input_is_named(tmp_path, make, error, message):
     with pytest.raises(error, match=message):

@@ -13,7 +13,7 @@ _spec = importlib.util.spec_from_file_location(
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
-SPEC = {"end_to_end": [
+SPEC = {"run_seconds": 3, "end_to_end": [
     {"name": "ops_per_s", "unit": "op/s", "better": "higher", "bound": 0.25},
     {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
 ]}
@@ -106,6 +106,7 @@ def test_record_rotates_positions_and_runs_the_parent_twice_with_aa(tmp_path, mo
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace):
+        assert seconds == SPEC["run_seconds"]
         calls.append((checkout.name, seed, trace))
         return {"git": {"commit": checkout.name, "dirty": False}, "seed": seed,
                 "metrics": {"ops_per_s": 100.0, "latency_ms_p50": 10.0}, "raw_metrics": None,

@@ -146,6 +146,11 @@ def test_omp_rejects_bad_k():
                  "cannot select K=3 columns from P=2", id="omp-k-above-p"),
     pytest.param(lambda: refine_multi(np.ones((4, 2)), np.ones((4, 8)), [0.1, 0.2], np.ones((1, 2)), 10),
                  "X0 has 1 rows but nu0 has 2 entries", id="refine-x0-rows"),
+    pytest.param(lambda: refine_multi(np.ones((4, 3)), np.ones((4, 8)), np.array([[0.1]]), np.ones((1, 3)), 3),
+                 r"nu0 must be a 1-D array, got shape \(1, 1\)", id="refine-nu0-2d"),
+    pytest.param(lambda: EstimationResult(nu_hat=[[0.1, 0.2]], X_hat=np.ones((2, 3)), histories=(np.ones(1),),
+                                          stop_reason="stalled"),
+                 r"nu_hat must be a 1-D array, got shape \(1, 2\)", id="result-nu-hat-2d"),
 ])
 def test_rejected_input_is_named(make, message):
     with pytest.raises(ValueError, match=message):

@@ -1,7 +1,8 @@
 """Record a paired parent/change benchmark comparison as a BENCH_*.json file.
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in two checkouts, one seed per pair, and writes for each workload and
+in two checkouts, one seed per pair, T being the ``run_seconds`` of the change
+checkout's ``BENCHMARK.json`` on every side, and writes for each workload and
 end-to-end metric both sides' medians and quartiles, the parent's
 inter-quartile range (the noise band), the ratio of the medians, the pairs
 the change won and whether the change stayed within the bound
@@ -151,7 +152,6 @@ def main(argv=None) -> None:
     parser.add_argument("--aa", action="store_true", help="run the parent twice in each pair (A/A floor)")
     parser.add_argument("--plan", action="append", default=[], help="WORKLOAD:SEEDS, e.g. sweep-fig3:1-10")
     parser.add_argument("--traced", action="append", default=[], help="workload for one traced seed-1 run")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -162,7 +162,7 @@ def main(argv=None) -> None:
     sides = tuple(checkouts)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     doc = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {spec['run_seconds']:g} --trace 0",
         "order": (f"pair i runs {', '.join(sides)} rotated by i mod {len(sides)}, reversed on the second "
                   f"{len(sides)} of every {2 * len(sides)} pairs; each run records its position (0 = first)"),
         "checkouts": {s: {"path": p.name, "commit": None, "dirty": None, "src_lines": src_lines(p)}
@@ -180,7 +180,7 @@ def main(argv=None) -> None:
         entry = doc["workloads"][workload] = {"runs": {s: [] for s in sides}, "summary": {}}
         for i, seed in enumerate(seeds_of(seeds)):
             for position, side in enumerate(order(sides, i)):
-                result = run(checkouts[side], workload, seed, args.seconds, 0)
+                result = run(checkouts[side], workload, seed, spec["run_seconds"], 0)
                 doc["environment"] = doc["environment"] or result["environment"]
                 doc["checkouts"][side].update(result["git"])
                 entry["runs"][side].append({k: v for k, v in result.items() if k not in ("environment", "git")}
@@ -193,7 +193,7 @@ def main(argv=None) -> None:
                 save()
     for workload in args.traced:
         for side in (s for s in sides if s != "aa"):
-            result = run(checkouts[side], workload, 1, args.seconds, 1)
+            result = run(checkouts[side], workload, 1, spec["run_seconds"], 1)
             doc["checkouts"][side].update(result["git"])
             doc["traced"].setdefault(workload, {})[side] = result["metrics"]
             save()
