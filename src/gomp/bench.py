@@ -51,11 +51,13 @@ PROJECTION_KINDS = ("designed", "dft", "random", "gd_prior_a", "gd_prior_b")
 class SweepConfig:
     """Experiment configuration with flat JSON-friendly fields.
 
-    scene_nu_max bounds the drawn source frequencies (defaults to nu_max);
-    min_separation is the smallest allowed pairwise source gap (defaults
-    to two grid cells, 2 * nu_max / P). The refinement takes at most
-    max_steps = i_max * j_max joint steps: the paper's i_max steps per
-    sweep and j_max sweeps, of which the refinement reads only the product.
+    scene_nu_max bounds the drawn source frequencies and min_separation is
+    the smallest allowed pairwise source gap; scene_span and separation read
+    them with their defaults applied (nu_max, and two grid cells 2 nu_max / P),
+    and (K - 1) * separation <= scene_span must hold. snr_grid_db, methods,
+    alpha_candidates and p_grid (when given) must be non-empty and distinct.
+    The refinement takes at most max_steps = i_max * j_max joint steps: the
+    paper's i_max steps per sweep and j_max sweeps, whose product it reads.
     """
 
     N: int = 16
@@ -98,22 +100,25 @@ class SweepConfig:
                 raise ValueError(f"constraint 0 < {key} <= 2*pi violated ({key}={value})")
         if self.min_separation is not None and not 0 <= self.min_separation < math.inf:
             raise ValueError(f"constraint 0 <= min_separation < inf violated (min_separation={self.min_separation})")
+        if (self.K - 1) * self.separation > self.scene_span:
+            raise ValueError(f"constraint (K-1)*min_separation <= scene_nu_max violated: cannot place K={self.K} sources "
+                             f"with separation {self.separation:.4g} inside [0, {self.scene_span:.4g}]")
         if self.projection_kind not in PROJECTION_KINDS:
             raise ValueError(
                 f"projection_kind must be one of {PROJECTION_KINDS}, got {self.projection_kind!r}"
             )
+        for key in ("snr_grid_db", "methods", "alpha_candidates", "p_grid"):
+            value = getattr(self, key)
+            if value is not None and (not value or len(set(value)) < len(value)):
+                raise ValueError(f"{key} must not be empty or repeat an entry, got {list(value)}")
         for kind in self.methods:
             if kind not in PROJECTION_KINDS:
                 raise ValueError(f"methods entry {kind!r} not in {PROJECTION_KINDS}")
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must not be empty")
         for snr in self.snr_grid_db:
             try:
                 noise_scale_for_snr(1.0, snr, 1.0)
             except ValueError as exc:
                 raise ValueError(f"snr_grid_db entry {snr}: {exc}") from None
-        if not self.alpha_candidates:
-            raise ValueError("alpha_candidates must not be empty")
         for alpha in self.alpha_candidates:
             if not alpha >= 1:
                 raise ValueError(f"alpha_candidates entry {alpha} violates alpha >= 1")
@@ -124,6 +129,14 @@ class SweepConfig:
     @property
     def max_steps(self) -> int:
         return self.i_max * self.j_max
+
+    @property
+    def scene_span(self) -> float:
+        return self.nu_max if self.scene_nu_max is None else self.scene_nu_max
+
+    @property
+    def separation(self) -> float:
+        return 2.0 * self.nu_max / self.P if self.min_separation is None else self.min_separation
 
 
 @dataclass(frozen=True)
@@ -204,20 +217,15 @@ def _seed_int(*parts: int) -> int:
 
 
 def draw_scene(cfg: SweepConfig, trial_seed: int) -> SourceScene:
-    """K source frequencies uniform on [0, scene bound] with a minimum
-    pairwise separation, plus i.i.d. unit-variance complex Gaussian
+    """K source frequencies uniform on [0, cfg.scene_span] at least
+    cfg.separation apart, plus i.i.d. unit-variance complex Gaussian
     waveforms. Deterministic per trial_seed; rejection sampling with a
     capped redraw budget.
     """
-    bound = cfg.nu_max if cfg.scene_nu_max is None else cfg.scene_nu_max
-    sep = 2.0 * cfg.nu_max / cfg.P if cfg.min_separation is None else cfg.min_separation
-    if cfg.K > 1 and (cfg.K - 1) * sep > bound:
-        raise ValueError(
-            f"cannot place K={cfg.K} sources with separation {sep:.4g} inside [0, {bound:.4g}]"
-        )
+    span, sep = cfg.scene_span, cfg.separation
     rng = np.random.default_rng(trial_seed)
     for _ in range(10000):
-        nu = np.sort(rng.uniform(0.0, bound, cfg.K))
+        nu = np.sort(rng.uniform(0.0, span, cfg.K))
         if cfg.K == 1 or float(np.min(np.diff(nu))) >= sep:
             break
     else:

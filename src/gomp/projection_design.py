@@ -310,6 +310,12 @@ def initial_projection(dictionary: Dictionary, n: int, cfg: DesignConfig, seed: 
     return phi
 
 
+def _stalled(runmin: list, etas: list) -> bool:
+    """design's stall test (see _STALL_WINDOW) at the last recorded iterate."""
+    w = len(etas) - 1 - _STALL_WINDOW
+    return w >= 0 and runmin[w] - runmin[-1] <= _STALL_MU_RTOL * runmin[-1] and etas[w] - etas[-1] <= _STALL_RTOL * etas[-1]
+
+
 def design(
     dictionary: Dictionary,
     cfg: DesignConfig,
@@ -367,47 +373,37 @@ def design(
         return q, d, s, e, _coherence(e), _frame_eta(q, d)
 
     q, d, s, e, mu, eta = state_at(phi)
-    mus, runmin, etas, steps, evals = [], [], [], [], []
-    best_phi, best_iter, stop_iter = phi, 0, cfg.t_max
-    base = cfg.step_size
-    for t in range(cfg.t_max + 1):
-        if t:
-            step, halvings = base, 0
-            if t > stop_iter:  # Phi and its state stay
-                evals.append(0)
-            else:
-                e_used = shrink_error(e, alpha, beta) if shrink else e
-                grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
-                z = phi - step * grad
-                while halvings < 20 and _frame_eta(*_columns(z, a)) > eta:
-                    step *= 0.5
-                    halvings += 1
-                    z = phi - step * grad
-                phi = cm_project(z)
-                evals.append(min(halvings + 1, 20))
-                q, d, s, e, mu, eta = state_at(phi)
-            base = min(step * 2.0, 1e9) if halvings == 0 else step
-            steps.append(step)
+    mus, runmin, etas, steps, evals = [mu], [mu], [eta], [], []
+    best_phi, best_iter, step = phi, 0, cfg.step_size
+    while len(steps) < cfg.t_max and not (shrink and mu <= alpha * beta) and not _stalled(runmin, etas):
+        e_used = shrink_error(e, alpha, beta) if shrink else e
+        grad = _descent(ah, q, d, s, e_used, embed_unit_norm)
+        halvings, z = 0, phi - step * grad
+        while halvings < 20 and _frame_eta(*_columns(z, a)) > eta:
+            step *= 0.5
+            halvings += 1
+            z = phi - step * grad
+        phi = cm_project(z)
+        steps.append(step)
+        evals.append(min(halvings + 1, 20))
+        q, d, s, e, mu, eta = state_at(phi)
+        if mu < mus[best_iter]:
+            best_phi, best_iter = phi, len(mus)
         mus.append(mu)
         etas.append(eta)
-        if mus[t] < mus[best_iter]:
-            best_phi, best_iter = phi, t
         runmin.append(mus[best_iter])
-        stationary = shrink and mu <= alpha * beta
-        w = t - _STALL_WINDOW
-        stalled = (
-            w >= 0
-            and runmin[w] - runmin[t] <= _STALL_MU_RTOL * runmin[t]
-            and etas[w] - etas[t] <= _STALL_RTOL * etas[t]
-        )
-        if t < stop_iter and (stationary or stalled):
-            stop_iter = t
+        step = min(step * 2.0, 1e9) if halvings == 0 else step
+    # the frozen tail: Phi stays at the stop iterate and the step doubles untried
+    stop_iter, tail = len(steps), cfg.t_max - len(steps)
+    for _ in range(tail):
+        steps.append(step)
+        step = min(step * 2.0, 1e9)
     return DesignTrace(
-        coherence_per_iter=np.array(mus),
-        objective_per_iter=np.array(etas),
+        coherence_per_iter=np.array(mus + [mu] * tail),
+        objective_per_iter=np.array(etas + [eta] * tail),
         final_phi=ProjectionMatrix(phi=best_phi),
         step_per_iter=np.array(steps),
-        evals_per_iter=np.array(evals, dtype=int),
+        evals_per_iter=np.array(evals + [0] * tail, dtype=int),
         best_iter=best_iter,
         stop_iter=stop_iter,
     )

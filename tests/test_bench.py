@@ -106,9 +106,10 @@ def test_draw_scene_range_and_separation():
 
 
 def test_draw_scene_infeasible_separation():
-    cfg = _cfg(K=4, N=8, min_separation=3.0)
-    with pytest.raises(ValueError, match="separation"):
-        draw_scene(cfg, 0)
+    """K sources that cannot fit the scene span fail when the config is
+    built, not at the first draw."""
+    with pytest.raises(ValueError, match=r"\(K-1\)\*min_separation <= scene_nu_max violated"):
+        _cfg(K=4, N=8, min_separation=3.0)
 
 
 # ------------------------------------------------------------------- config
@@ -193,17 +194,24 @@ def _sweep_configs(draw):
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k, 8))
     m = draw(st.integers(max(n, 2), 16))
-    tuples = lambda elem: st.lists(elem, min_size=1, max_size=4).map(tuple)
+    tuples = lambda elem: st.lists(elem, min_size=1, max_size=4, unique=True).map(tuple)
+    p = draw(st.integers(m, 64))
+    nu_max = draw(_SPAN)
+    scene_nu_max = draw(st.none() | _SPAN)
+    # only a separation that fits K sources into the scene span builds a config
+    span = nu_max if scene_nu_max is None else scene_nu_max
+    fits = lambda sep: (k - 1) * sep <= span
+    separations = st.floats(0.0, span / max(k - 1, 1)).filter(fits)
     top = dict(
-        N=n, M=m, P=draw(st.integers(m, 64)), K=k,
+        N=n, M=m, P=p, K=k,
         L=draw(st.integers(1, 32)),
         snr_grid_db=draw(tuples(_FINITE | st.just(math.inf))),
         trials=draw(st.integers(1, 500)),
         seed=draw(st.integers(0, 2**31)),
         projection_kind=draw(_KINDS),
-        nu_max=draw(_SPAN),
-        scene_nu_max=draw(st.none() | _SPAN),
-        min_separation=draw(st.none() | _POSITIVE),
+        nu_max=nu_max,
+        scene_nu_max=scene_nu_max,
+        min_separation=draw(st.none() | separations) if fits(2.0 * nu_max / p) else draw(separations),
         alpha_candidates=draw(tuples(st.floats(1.0, 10.0) | st.just(math.inf))),
         p_grid=draw(st.none() | tuples(st.integers(m, 512))),
         methods=draw(tuples(_KINDS)),

@@ -123,9 +123,14 @@ def test_invalid_k_exceeding_n_names_constraint(tmp_path, capsys):
     ("snr_grid_db", "[true]"),
     ("trials", "true"),
     ("N", "true"),
+    ("snr_grid_db", "[10,10]"),
+    ("methods", "[]"),
+    ("methods", '["random","random"]'),
     ("alpha_candidates", "[]"),
     ("alpha_candidates", "[0.5]"),
+    ("alpha_candidates", "[2,2.0]"),
     ("p_grid", "[4]"),
+    ("p_grid", "[16,16]"),
     ("i_max", "0"),
     ("j_max", "0"),
     ("step_size", "1e400"),
@@ -138,6 +143,17 @@ def test_bad_config_value_fails_at_load_and_names_key(tmp_path, capsys, key, val
               str(tmp_path / "x.csv"), "--set", f"{key}={value}"])
     assert rc == 1
     assert key in capsys.readouterr().err
+
+
+def test_infeasible_separation_fails_at_load(tmp_path, capsys):
+    """K=4 sources 3 rad apart do not fit the 2 pi scene span: a
+    configuration error, raised before any projection is designed."""
+    args = ["--seed", "1", "--set", "N=4", "--set", "M=8", "--set", "P=16", "--set", "K=4", "--set", "L=4",
+            "--set", "trials=2", "--set", "t_max=2", "--set", "min_separation=3.0"]
+    assert cli(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "min_separation" in err and "cannot place K=4 sources" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command, sizes", [
