@@ -147,13 +147,17 @@ def test_bad_config_value_fails_at_load_and_names_key(tmp_path, capsys, key, val
 
 def test_infeasible_separation_fails_at_load(tmp_path, capsys):
     """K=4 sources 3 rad apart do not fit the 2 pi scene span: a
-    configuration error, raised before any projection is designed."""
+    configuration error, raised before any projection is designed. 2 rad
+    apart they fit with little slack, and every trial draws its scene."""
     args = ["--seed", "1", "--set", "N=4", "--set", "M=8", "--set", "P=16", "--set", "K=4", "--set", "L=4",
-            "--set", "trials=2", "--set", "t_max=2", "--set", "min_separation=3.0"]
-    assert cli(["sweep", *args, "--out", str(tmp_path / "x.csv")]) == 1
+            "--set", "trials=2", "--set", "t_max=2"]
+    assert cli(["sweep", *args, "--set", "min_separation=3.0", "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert "min_separation" in err and "cannot place K=4 sources" in err
     assert not (tmp_path / "x.csv").exists()
+    assert cli(["sweep", *args, "--set", "min_separation=2.0", "--out", str(tmp_path / "edge.csv")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "edge.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5 and all(int(r[4]) + int(r[5]) == 2 for r in rows)
 
 
 @pytest.mark.parametrize("command, sizes", [
