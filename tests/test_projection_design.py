@@ -644,20 +644,29 @@ def test_stall_tolerance_zero_is_the_old_rule(grid, monkeypatch):
 
 
 def test_alpha_sweep_with_the_stop_keeps_the_fig3_phi():
-    """On the Fig.-3 grid from the SVD start the winner is alpha = 3, as in
-    the reference loop without the stop. Its best mu keeps improving in the
-    7th digit up to the last of 200 updates; the stall rule stops it before
-    t_max with its mu within 1e-4 relative of the full-budget winner's."""
+    """On the Fig.-3 grid from the SVD start the winner of the five-candidate
+    sweep is alpha = 3, as in the reference loop without the stop. Its best
+    mu keeps improving in the 7th digit up to the last of 200 updates; the
+    stall rule stops it before t_max with its mu within 1e-4 relative of the
+    full-budget winner's. The default candidates keep that trace bit for
+    bit: this is the Phi of every Fig.-3 sweep. The grid's singular values
+    are distinct, so the SVD start, and this, hold at any BLAS thread
+    count."""
+    five = (1.0, 1.5, 2.0, 3.0, 5.0)
     d = build_dictionary(64, FIG3_NU_MAX, 64)
     cfg = DesignConfig(t_max=200)
     phi0 = initial_projection(d, 16, cfg)
-    runs = [_reference_design(d, cfg, phi0, alpha, stop_rule=False) for alpha in projection_design.DEFAULT_ALPHAS]
+    runs = [_reference_design(d, cfg, phi0, alpha, stop_rule=False) for alpha in five]
     full = min(runs, key=lambda r: r[0][r[4]])  # min keeps the earliest of a tie
-    assert full is runs[projection_design.DEFAULT_ALPHAS.index(3.0)]
-    swept = design_with_alpha_sweep(d, cfg, phi0)
+    assert full is runs[five.index(3.0)]
+    swept = design_with_alpha_sweep(d, cfg, phi0, alphas=five)
     assert np.array_equal(swept.final_phi.phi, design(d, cfg, phi0, alpha=3.0).final_phi.phi)
     assert swept.stop_iter < cfg.t_max
     assert swept.final_coherence == pytest.approx(full[0][full[4]], rel=1e-4)
+    default = design_with_alpha_sweep(d, cfg, phi0)
+    for field in ("coherence_per_iter", "objective_per_iter"):
+        assert np.array_equal(getattr(default, field), getattr(swept, field))
+    assert np.array_equal(default.final_phi.phi, swept.final_phi.phi)
 
 
 def test_stall_rule_stops_the_converged_p128_winner_early(tmp_path):
